@@ -155,7 +155,7 @@ def check_dual_swap(seed: int, cases: int = 50, max_n: int = 3,
                        {"max_n": max_n, "max_deg": max_deg})
 
 
-def check_hopf(group: str, order: int,
+def check_hopf(group: str, order: int = 3,
                antipode_mode: str = "derived") -> CheckResult:
     report = hopf.check_axioms(group, order, antipode_mode)
     failures = [f"{c.axiom} at y{c.generator}: {c.witness}"
@@ -171,6 +171,3 @@ def check_hopf(group: str, order: int,
     return CheckResult("hopf", report.all_passed, len(report.checks), None,
                        failures, details)
 
-
-CHECKS = ("conjugation", "embedding", "exactness", "product-rule",
-          "dual-swap", "hopf")

@@ -9,6 +9,7 @@ goes to stderr.  Exit codes: 0 success, 1 a mathematical check failed,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -152,48 +153,42 @@ def cmd_verify(args) -> int:
                  0 if check.passed else 1)
 
 
+# suite -> (function, whether it takes a seed, option -> keyword argument)
+_SUITES = {
+    "conjugation": (checksuite.check_conjugation, True,
+                    {"cases": "cases", "n": "max_n", "i": "max_i"}),
+    "embedding": (checksuite.check_embedding, True,
+                  {"cases": "cases", "n": "n"}),
+    "exactness": (checksuite.check_exactness, True,
+                  {"cases": "cases", "n": "max_n", "file": "module"}),
+    "product-rule": (checksuite.check_product_rule, True,
+                     {"cases": "cases", "n": "max_n"}),
+    "dual-swap": (checksuite.check_dual_swap, True,
+                  {"cases": "cases", "n": "max_n"}),
+    "hopf": (checksuite.check_hopf, False,
+             {"group": "group", "order": "order"}),
+}
+
+# least accepted value of each integer option of `check`
+_CHECK_MINIMA = {"cases": 1, "n": 1, "i": 0, "order": 1}
+
+
 def cmd_check(args) -> int:
     start = time.perf_counter()
     name = args.name
-    if name == "hopf":
-        if args.group is None:
-            raise InputError("check hopf needs --group ga|gm")
-        order = args.order if args.order is not None else 3
-        try:
-            result = checksuite.check_hopf(args.group, order)
-        except ValueError as e:
-            raise InputError(str(e)) from e
-    else:
-        seed = _resolve_seed(args)
-        kwargs = {}
-        if args.cases is not None:
-            kwargs["cases"] = args.cases
-        if name == "conjugation":
-            if args.n is not None:
-                kwargs["max_n"] = args.n
-            if args.i is not None:
-                kwargs["max_i"] = args.i
-            result = checksuite.check_conjugation(seed, **kwargs)
-        elif name == "embedding":
-            if args.n is not None:
-                kwargs["n"] = args.n
-            result = checksuite.check_embedding(seed, **kwargs)
-        elif name == "exactness":
-            if args.n is not None:
-                kwargs["max_n"] = args.n
-            if args.file is not None:
-                kwargs["module"] = _load_module(args.file)
-            result = checksuite.check_exactness(seed, **kwargs)
-        elif name == "product-rule":
-            if args.n is not None:
-                kwargs["max_n"] = args.n
-            result = checksuite.check_product_rule(seed, **kwargs)
-        elif name == "dual-swap":
-            if args.n is not None:
-                kwargs["max_n"] = args.n
-            result = checksuite.check_dual_swap(seed, **kwargs)
-        else:
-            raise InputError(f"unknown check {name!r}")
+    for option, least in _CHECK_MINIMA.items():
+        value = getattr(args, option)
+        if value is not None and value < least:
+            raise InputError(f"--{option} must be >= {least}, got {value}")
+    if name == "hopf" and args.group is None:
+        raise InputError("check hopf needs --group ga|gm")
+    func, seeded, options = _SUITES[name]
+    seed = (_resolve_seed(args),) if seeded else ()
+    kwargs = {kw: getattr(args, option) for option, kw in options.items()
+              if getattr(args, option) is not None}
+    if "module" in kwargs:
+        kwargs["module"] = _load_module(kwargs["module"])
+    result = func(*seed, **kwargs)
     report = {
         "command": "check",
         "inputs": {"name": name, "seed": result.seed, "group": args.group,
@@ -231,7 +226,11 @@ def _binary_command(args, op, label: str) -> int:
 
 # argument plumbing --------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call: parse_args leaves it unchanged, and help text reads the terminal
+    width only when it is formatted."""
     parser = argparse.ArgumentParser(
         prog="prolongkit",
         description="Exact prolongation calculus for parameterized linear "
@@ -258,7 +257,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("check", help="run a named check suite")
-    p.add_argument("name", choices=checksuite.CHECKS)
+    p.add_argument("name", choices=tuple(_SUITES))
     p.add_argument("--n", type=int)
     p.add_argument("--i", type=int)
     p.add_argument("--seed", type=int)
@@ -287,9 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
     try:
@@ -307,3 +305,7 @@ def main(argv=None) -> int:
 
 def entry():
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -13,6 +13,11 @@ Grammar (precedence climbing, low to high):
 associate to the right and must reduce to integers at parse time.  There is
 no implicit multiplication.  Whitespace is insignificant; errors carry the
 byte offset of the offending token.
+
+Nesting is capped at MAX_DEPTH levels: each unary minus, parenthesis or
+exponent puts its operand one level deeper, and input that goes deeper is a
+ParseError.  Long flat sums and products are not nesting; the parser loops
+over them and the evaluator folds them without recursion.
 """
 
 from __future__ import annotations
@@ -84,6 +89,11 @@ _OPS = set("+-*/^()")
 # tower like 9^9^9 cannot blow up at parse time
 MAX_EXPONENT = 10 ** 6
 
+# the parser recurses through about five frames per level of parentheses,
+# so this keeps every accepted expression well inside the interpreter's
+# default recursion limit of 1000
+MAX_DEPTH = 100
+
 
 def _is_digit(ch: str) -> bool:
     # ASCII only: str.isdigit() also accepts superscripts and other Unicode
@@ -143,6 +153,16 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.names = names
+        # levels open around the current operand; the top level is 0
+        self.depth = -1
+
+    def descend(self, off: int):
+        """Enter one level of nesting; unary() and exponent() call this on
+        entry and decrement self.depth on return."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             off)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -190,10 +210,14 @@ class _Parser:
 
     def unary(self):
         kind, value, off = self.peek()
+        self.descend(off)
         if kind == "OP" and value == "-":
             self.pos += 1
-            return Neg(self.unary(), off)
-        return self.power()
+            node = Neg(self.unary(), off)
+        else:
+            node = self.power()
+        self.depth -= 1
+        return node
 
     def power(self):
         node = self.atom()
@@ -206,17 +230,17 @@ class _Parser:
 
     def exponent(self) -> int:
         kind, value, off = self.peek()
+        self.descend(off)
         if kind == "OP" and value == "-":
             self.pos += 1
-            return -self.exponent()
-        if kind == "OP" and value == "(":
+            e = -self.exponent()
+        elif kind == "OP" and value == "(":
             self.pos += 1
             e = self.exponent()
             if not self.eat_op(")"):
                 k, v, o = self.peek()
                 raise ParseError(f"expected ')' in exponent, got {v!r}", o)
-            return e
-        if kind == "INT":
+        elif kind == "INT":
             self.pos += 1
             base = int(value)
             k, v, o = self.peek()
@@ -230,8 +254,11 @@ class _Parser:
                 base = base ** e
             if abs(base) > MAX_EXPONENT:
                 raise ParseError("exponent too large", off)
-            return base
-        raise ParseError("exponent must be an integer literal", off)
+            e = base
+        else:
+            raise ParseError("exponent must be an integer literal", off)
+        self.depth -= 1
+        return e
 
     def atom(self):
         kind, value, off = self.take()
@@ -255,32 +282,64 @@ def parse_ast(text: str, names: tuple[str, ...] = ("x", "t")):
     return _Parser(text, names).parse()
 
 
+def split_chain(node):
+    """(first operand, operators) of a chain of binary operators.
+
+    The parser builds a chain like a + b - c as a left-deep tree; folding
+    the operators' right operands onto the first operand, innermost
+    operator first, evaluates it without recursing along the chain, so an
+    evaluator recurses only through the nesting capped at MAX_DEPTH."""
+    ops = []
+    while type(node) is BinOp:
+        ops.append(node)
+        node = node.left
+    ops.reverse()
+    return node, ops
+
+
+def _evaluate(node):
+    """Value of an AST: an integer MPoly until a '/' or a negative power
+    needs the field, a RatFunc from there on.  Mixed operands meet in
+    RatFunc's arithmetic, which converts the MPoly once."""
+    node, ops = split_chain(node)
+    if type(node) is IntLit:
+        value = MPoly.const(node.value)
+    elif type(node) is Var:
+        value = MPoly.variable(node.name)
+    elif type(node) is Neg:
+        value = -_evaluate(node.operand)
+    elif type(node) is Pow:
+        value = _evaluate(node.base)
+        e = node.exponent
+        if e < 0:
+            if not value:
+                raise EvalError("zero raised to a negative power", node.pos)
+            if type(value) is MPoly:
+                value = RatFunc(value)
+        value = value ** e
+    else:
+        raise TypeError(f"not an expression node: {node!r}")
+    for op in ops:
+        rhs = _evaluate(op.right)
+        if op.op == "+":
+            value = value + rhs
+        elif op.op == "-":
+            value = value - rhs
+        elif op.op == "*":
+            value = value * rhs
+        elif not rhs:
+            raise EvalError("division by a zero expression", op.pos)
+        elif type(value) is MPoly and type(rhs) is MPoly:
+            value = RatFunc(value, rhs)
+        else:
+            value = value / rhs
+    return value
+
+
 def eval_ratfunc(node) -> RatFunc:
-    """Evaluate an AST over the rational-function field."""
-    if isinstance(node, IntLit):
-        return RatFunc.from_int(node.value)
-    if isinstance(node, Var):
-        return RatFunc(MPoly.variable(node.name))
-    if isinstance(node, Neg):
-        return -eval_ratfunc(node.operand)
-    if isinstance(node, BinOp):
-        a = eval_ratfunc(node.left)
-        b = eval_ratfunc(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.is_zero:
-            raise EvalError("division by a zero expression", node.pos)
-        return a / b
-    if isinstance(node, Pow):
-        base = eval_ratfunc(node.base)
-        if node.exponent < 0 and base.is_zero:
-            raise EvalError("zero raised to a negative power", node.pos)
-        return base ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+    """Evaluate an AST in x and t over the rational-function field."""
+    value = _evaluate(node)
+    return RatFunc(value) if type(value) is MPoly else value
 
 
 def parse_expr(text: str) -> RatFunc:
@@ -352,7 +411,9 @@ class ModuleDocError(ValueError):
         self.col = col
 
 
-def _validate_doc(data) -> tuple[int, list[list[str]], str | None]:
+def validate_doc(data) -> tuple[int, list[list[str]], str | None]:
+    """Check the JSON shape shared by module and solution documents and
+    return (n, rows of entry strings, name); entries are not parsed."""
     if isinstance(data, bytes):
         try:
             data = data.decode("utf-8")
@@ -393,7 +454,7 @@ class ModuleDoc:
 
     @classmethod
     def parse(cls, data) -> ModuleDoc:
-        n, matrix, name = _validate_doc(data)
+        n, matrix, name = validate_doc(data)
         return cls(n, tuple(tuple(row) for row in matrix), name)
 
     def to_module(self) -> DiffModule:

@@ -107,12 +107,16 @@ class MPoly:
         return f"MPoly({self.terms!r})"
 
     def __add__(self, other: MPoly) -> MPoly:
+        if not isinstance(other, MPoly):
+            return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) + c
         return MPoly(out)
 
     def __sub__(self, other: MPoly) -> MPoly:
+        if not isinstance(other, MPoly):
+            return NotImplemented
         out = dict(self.terms)
         for key, c in other.terms.items():
             out[key] = out.get(key, 0) - c
@@ -122,6 +126,8 @@ class MPoly:
         return _poly({k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other: MPoly) -> MPoly:
+        if not isinstance(other, MPoly):
+            return NotImplemented
         acc: dict[Term, int | Fraction] = {}
         B = list(other.terms.items())
         for (ax, at), ac in self.terms.items():

@@ -19,7 +19,8 @@ import math
 from . import exprparse
 from . import matrices as mat
 from .diffmod import DiffModule
-from .exprparse import EvalError, ExprError, ModuleDocError, _validate_doc
+from .exprparse import (EvalError, ExprError, ModuleDocError, split_chain,
+                        validate_doc)
 from .ratfield import MPoly, RatFunc
 
 
@@ -335,6 +336,28 @@ SOLUTION_NAMES = ("x", "t", "theta", "lam")
 
 def eval_solution(node) -> SolExpr:
     """Evaluate a parsed expression over the term algebra."""
+    node, ops = split_chain(node)
+    value = _eval_operand(node)
+    for op in ops:
+        b = eval_solution(op.right)
+        if op.op == "+":
+            value = value + b
+        elif op.op == "-":
+            value = value - b
+        elif op.op == "*":
+            value = value * b
+        else:
+            f = b.coefficient_only()
+            if f is None:
+                raise UnrepresentableSolutionError(
+                    "division by a theta/lam expression is outside the term algebra")
+            if f.is_zero:
+                raise EvalError("division by a zero expression", op.pos)
+            value = value.scale(RatFunc.one() / f)
+    return value
+
+
+def _eval_operand(node) -> SolExpr:
     if isinstance(node, exprparse.IntLit):
         return SolExpr.from_ratfunc(RatFunc.from_int(node.value))
     if isinstance(node, exprparse.Var):
@@ -345,22 +368,6 @@ def eval_solution(node) -> SolExpr:
         return SolExpr.from_ratfunc(RatFunc(MPoly.variable(node.name)))
     if isinstance(node, exprparse.Neg):
         return -eval_solution(node.operand)
-    if isinstance(node, exprparse.BinOp):
-        a = eval_solution(node.left)
-        b = eval_solution(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        f = b.coefficient_only()
-        if f is None:
-            raise UnrepresentableSolutionError(
-                "division by a theta/lam expression is outside the term algebra")
-        if f.is_zero:
-            raise EvalError("division by a zero expression", node.pos)
-        return a.scale(RatFunc.one() / f)
     if isinstance(node, exprparse.Pow):
         base = eval_solution(node.base)
         e = node.exponent
@@ -383,7 +390,7 @@ def parse_solution(text: str) -> SolExpr:
 def load_solution(data) -> list[list[SolExpr]]:
     """Parse a solution document, same JSON shape as a module document but
     with entries over x, t, theta, lam."""
-    n, matrix, _ = _validate_doc(data)
+    n, matrix, _ = validate_doc(data)
     rows = []
     for r, row in enumerate(matrix):
         out = []

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,3 +206,78 @@ def test_negative_order_rejected(capsys, xt_file):
     code = main(["prolong", xt_file, "-i", "-1"])
     assert code == 2
     capsys.readouterr()
+
+
+def test_commands_repeat_in_one_process(capsys, tmp_path, xt_file):
+    # the argument parser is built once and shared by every later call
+    mod = tmp_path / "m.json"
+    mod.write_text('{"n": 2, "matrix": [["0", "x"], ["t", "1/x"]]}')
+    commands = [
+        ["check", "nonsense"],
+        ["prolong", xt_file, "-i", "2"],
+        ["dual", str(mod)],
+        ["verify", xt_file, "-i", "2", "--example", "xt"],
+        ["check", "hopf", "--group", "ga"],
+        ["tensor", xt_file, str(mod)],
+    ]
+    first = []
+    for argv in commands:
+        code = main(list(argv))
+        first.append((code, capsys.readouterr().out))
+    assert [code for code, _ in first] == [2, 0, 0, 0, 0, 0]
+    assert first[0][1] == ""
+    for argv, want in zip(commands + commands[1:2], first + first[1:2]):
+        code = main(list(argv))
+        assert (code, capsys.readouterr().out) == want, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "conjugation", "--cases", "-3", "--n", "0"],
+    ["check", "conjugation", "--i", "-1"],
+    ["check", "exactness", "--n", "0"],
+    ["check", "product-rule", "--n", "0"],
+    ["check", "dual-swap", "--cases", "0"],
+    ["check", "embedding", "--n", "0", "--cases", "2"],
+    ["check", "hopf", "--group", "ga", "--order", "0"],
+])
+def test_check_options_out_of_range_are_usage_errors(capsys, argv):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("entry", [
+    "(" * 5000 + "x" + ")" * 5000,
+    "-" * 5000 + "x",
+    "x^" + "(" * 5000 + "2" + ")" * 5000,
+], ids=["parentheses", "unary-minus", "exponent"])
+def test_deeply_nested_entry_is_input_error(capsys, tmp_path, entry):
+    p = tmp_path / "deep.json"
+    p.write_text(json.dumps({"n": 1, "matrix": [[entry]]}))
+    code = main(["prolong", str(p), "-i", "1"])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.err.startswith("error: entry (0,0): ")
+    assert "nests deeper" in out.err and out.err.count("\n") == 1
+
+
+def test_flat_sum_entry_evaluates(capsys, tmp_path):
+    p = tmp_path / "flat.json"
+    p.write_text(json.dumps({"n": 1, "matrix": [["+".join(["x"] * 3000)]]}))
+    code, report, _ = run(capsys, "prolong", str(p), "-i", "0")
+    assert code == 0
+    assert report["result"]["matrix"] == [["3000*x"]]
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run(
+        [sys.executable, "-m", "prolongkit", "check", "hopf", "--group", "gm"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["outcome"] == "pass"

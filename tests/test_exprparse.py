@@ -4,9 +4,11 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from prolongkit.exprparse import (EvalError, ModuleDoc, ModuleDocError,
-                                  ParseError, load_module, parse_expr, render)
-from prolongkit.ratfield import RatFunc
+from prolongkit.exprparse import (MAX_DEPTH, BinOp, EvalError, ExprError,
+                                  IntLit, ModuleDoc, ModuleDocError, Neg,
+                                  ParseError, Pow, Var, load_module, parse_ast,
+                                  parse_expr, render)
+from prolongkit.ratfield import MPoly, RatFunc
 from prolongkit.sampling import random_ratfunc
 
 X = RatFunc.var_x()
@@ -116,6 +118,100 @@ def test_parser_total(text):
         parse_expr(text)
     except (ParseError, EvalError):
         pass
+
+
+# the evaluator against a RatFunc-only reference ----------------------------
+
+def reference_eval(node) -> RatFunc:
+    """Every AST node evaluated straight to a canonical RatFunc."""
+    if isinstance(node, IntLit):
+        return RatFunc.from_int(node.value)
+    if isinstance(node, Var):
+        return RatFunc(MPoly.variable(node.name))
+    if isinstance(node, Neg):
+        return -reference_eval(node.operand)
+    if isinstance(node, BinOp):
+        a = reference_eval(node.left)
+        b = reference_eval(node.right)
+        if node.op == "+":
+            return a + b
+        if node.op == "-":
+            return a - b
+        if node.op == "*":
+            return a * b
+        if b.is_zero:
+            raise EvalError("division by a zero expression", node.pos)
+        return a / b
+    if isinstance(node, Pow):
+        base = reference_eval(node.base)
+        if node.exponent < 0 and base.is_zero:
+            raise EvalError("zero raised to a negative power", node.pos)
+        return base ** node.exponent
+    raise TypeError(f"not an expression node: {node!r}")
+
+
+def _combine(parts):
+    a, op, b, paren = parts
+    text = f"{a} {op} {b}"
+    return f"({text})" if paren else text
+
+
+# leaves include zero-valued expressions so that divisions by zero and
+# zero to a negative power come up often
+_leaves = st.sampled_from(["x", "t", "0", "1", "2", "3", "x - x", "(t - t)",
+                           "2*t"])
+_exprs = st.recursive(
+    _leaves,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from("+-*/"), inner, st.booleans())
+          .map(_combine),
+        st.tuples(inner, st.integers(-3, 3))
+          .map(lambda p: f"({p[0]})^{p[1]}"),
+        st.tuples(inner, st.integers(-2, 2)).map(lambda p: f"{p[0]}^{p[1]}"),
+        inner.map(lambda e: f"-{e}"),
+    ),
+    max_leaves=10)
+
+
+@hypothesis.given(_exprs)
+@hypothesis.settings(deadline=None, max_examples=300)
+def test_evaluator_matches_ratfunc_reference(text):
+    try:
+        want = reference_eval(parse_ast(text))
+    except ExprError as e:
+        with pytest.raises(ExprError) as got:
+            parse_expr(text)
+        assert type(got.value) is type(e)
+        assert (got.value.message, got.value.offset) == (e.message, e.offset)
+        return
+    got = parse_expr(text)
+    assert isinstance(got, RatFunc)
+    assert got == want
+    assert render(got) == render(want)
+
+
+def test_nesting_limit():
+    ok = {"(": "(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH,
+          "-": "-" * MAX_DEPTH + "x",
+          "^": "x^" + "(" * (MAX_DEPTH - 1) + "2" + ")" * (MAX_DEPTH - 1)}
+    assert parse_expr(ok["("]) == X
+    assert parse_expr(ok["-"]) == X
+    assert parse_expr(ok["^"]) == X ** 2
+    for text in ("(" + ok["("] + ")", "-" + ok["-"], "(" + ok["^"] + ")",
+                 "(" * 5000 + "x" + ")" * 5000, "-" * 5000 + "x",
+                 "x^" + "2^" * 5000 + "1"):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text)
+        assert "nests deeper" in e.value.message
+
+
+def test_long_flat_chains_evaluate():
+    assert parse_expr("+".join(["x"] * 3000)) == 3000 * X
+    assert parse_expr("-".join(["t"] * 3000)) == -2998 * T
+    assert parse_expr("*".join(["x"] * 3000)) == X ** 3000
+    assert parse_expr("/".join(["x"] * 300)) == X ** -298
+    doc = '{"n": 1, "matrix": [["%s"]]}' % "+".join(["x*t"] * 3000)
+    assert load_module(doc).A[0][0] == 3000 * X * T
 
 
 # module documents ---------------------------------------------------------

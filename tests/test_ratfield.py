@@ -98,6 +98,24 @@ def test_terms_compare_equal_to_fractions():
     assert g.den.terms == {(1, 0): Fraction(15), (0, 1): Fraction(-15)}
 
 
+def test_mpoly_operators_reject_other_operands():
+    x = MPoly.variable("x")
+    for other in (1, Fraction(1, 2), 0.5, "x"):
+        with pytest.raises(TypeError):
+            x + other
+        with pytest.raises(TypeError):
+            x - other
+        with pytest.raises(TypeError):
+            x * other
+    # a RatFunc operand falls through to RatFunc's reflected methods
+    X, T = RatFunc.var_x(), RatFunc.var_t()
+    t = MPoly.variable("t")
+    assert x + T == X + T
+    assert x - T == X - T
+    assert x * T == X * T
+    assert t / X == T / X
+
+
 def test_zero_denominator_raises():
     with pytest.raises(ZeroDivisionError):
         RatFunc(MPoly.one(), MPoly.zero())

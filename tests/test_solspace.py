@@ -145,6 +145,11 @@ def test_parse_solution_atoms():
     assert parse_solution("theta/2") == TH.scale(RatFunc(1) / 2)
 
 
+def test_parse_solution_long_flat_chain():
+    assert parse_solution("+".join(["theta"] * 3000)) == TH.scale(RatFunc(3000))
+    assert parse_solution("*".join(["lam"] * 300)) == LA ** 300
+
+
 def test_parse_solution_rejects_theta_division():
     with pytest.raises(UnrepresentableSolutionError):
         parse_solution("1/theta")
