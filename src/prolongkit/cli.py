@@ -169,6 +169,10 @@ _SUITES = {
              {"group": "group", "order": "order"}),
 }
 
+# every option of `check`; a suite rejects those its entry above does not
+# list, and --seed when it is not seeded
+_CHECK_OPTIONS = ("n", "i", "seed", "cases", "group", "order", "file")
+
 # least accepted value of each integer option of `check`
 _CHECK_MINIMA = {"cases": 1, "n": 1, "i": 0, "order": 1}
 
@@ -176,13 +180,17 @@ _CHECK_MINIMA = {"cases": 1, "n": 1, "i": 0, "order": 1}
 def cmd_check(args) -> int:
     start = time.perf_counter()
     name = args.name
+    func, seeded, options = _SUITES[name]
+    for option in _CHECK_OPTIONS:
+        if (getattr(args, option) is not None and option not in options
+                and not (option == "seed" and seeded)):
+            raise InputError(f"check {name} does not take --{option}")
     for option, least in _CHECK_MINIMA.items():
         value = getattr(args, option)
         if value is not None and value < least:
             raise InputError(f"--{option} must be >= {least}, got {value}")
     if name == "hopf" and args.group is None:
         raise InputError("check hopf needs --group ga|gm")
-    func, seeded, options = _SUITES[name]
     seed = (_resolve_seed(args),) if seeded else ()
     kwargs = {kw: getattr(args, option) for option, kw in options.items()
               if getattr(args, option) is not None}

@@ -706,6 +706,42 @@ def gcd(p: MPoly, q: MPoly) -> MPoly:
                               for dx, u in g.items()
                               for dt, c in enumerate(_z_mul(u, d)) if c}))
 
+
+def _split_gcd(d1: MPoly, d2: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    """(g, d1 / g, d2 / g) for g a gcd over Q of the integer polynomials
+    d1 and d2, with both cofactors integral.
+
+    In most sums one denominator divides the other, so one trial division
+    of the larger by the primitive part of the smaller comes before the
+    full gcd.  When it is exact, that primitive part is a gcd, the quotient
+    is integral by Gauss's lemma and is one cofactor, and the smaller one's
+    integer content is the other.  The trial can only succeed when the
+    smaller one's leading monomial divides the larger one's."""
+    if d1.terms == d2.terms:
+        return d1, _MP_ONE, _MP_ONE
+    (x1, t1), (x2, t2) = max(d1.terms), max(d2.terms)
+    if x1 <= x2 and t1 <= t2:
+        small, large = d1, d2
+    elif x2 <= x1 and t2 <= t1:
+        small, large = d2, d1
+    else:
+        small = None
+    if small is not None:
+        c = math.gcd(*small.terms.values())
+        p = small if c == 1 else _poly({k: v // c
+                                        for k, v in small.terms.items()})
+        try:
+            q = large.exact_div(p)
+        except ValueError:
+            pass
+        else:
+            c = MPoly.const(c)
+            return (p, c, q) if small is d1 else (p, q, c)
+    g = gcd(d1, d2)
+    if g.terms == _ONE_TERMS:
+        return g, d1, d2
+    return g, d1.exact_div(g), d2.exact_div(g)
+
 # ---------------------------------------------------------------------------
 
 class RatFunc:
@@ -828,11 +864,9 @@ class RatFunc:
             return RatFunc(n1 + n2)
         # with reduced inputs the sum over the lcm denominator can only
         # share factors with g = gcd(d1, d2), so one small gcd suffices
-        g = d1 if d1.terms == d2.terms else gcd(d1, d2)
+        g, d1r, d2r = _split_gcd(d1, d2)
         if g.terms == _ONE_TERMS:
             return RatFunc(n1 * d2 + n2 * d1, d1 * d2, _reduce=False)
-        d1r = d1.exact_div(g)
-        d2r = d2.exact_div(g)
         num = n1 * d2r + n2 * d1r
         if num.is_zero:
             return _RF_ZERO
@@ -957,7 +991,7 @@ class LinDiffOp:
     ``var`` is "x" or "t" and names the derivation d; coefficients are
     RatFunc, stored lowest order first with no trailing zero (the zero
     operator has an empty coefficient tuple).  Multiplication uses
-    d * a = a * d + a', extended by d^i * a = sum_k C(i,k) a^(i-k) d^k.
+    d * a = a * d + a', applied once per order of the left factor.
     """
 
     __slots__ = ("var", "coeffs")
@@ -1018,26 +1052,27 @@ class LinDiffOp:
         if self.is_zero or other.is_zero:
             return LinDiffOp(self.var, [])
         var = self.var
-        out: dict[int, RatFunc] = {}
-        for j, b in enumerate(other.coeffs):
-            if b.is_zero:
-                continue
-            # derivative chain of b, reused across all i
-            derivs = [b]
-            for _ in range(len(self.coeffs) - 1):
-                derivs.append(derivs[-1].deriv(var))
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero:
-                    continue
-                for k in range(i + 1):
-                    c = a * derivs[i - k]
-                    m = math.comb(i, k)
-                    if m != 1:
-                        c = RatFunc(c.num.scale(m), c.den, _reduce=False)
-                    key = k + j
-                    out[key] = out[key] + c if key in out else c
-        n = max(out) + 1 if out else 0
-        return LinDiffOp(var, [out.get(q, _RF_ZERO) for q in range(n)])
+        # A * B = sum_i a_i * D_i with D_0 = B and D_(i+1) = d * D_i, whose
+        # coefficients follow from d * c d^q = c' d^q + c d^(q+1).  The top
+        # coefficient of every D_i is B's leading one, differentiated once
+        out = [_RF_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
+        D = list(other.coeffs)
+        lead = D[-1]
+        lead_d = lead.deriv(var) if len(self.coeffs) > 1 else None
+        for i, a in enumerate(self.coeffs):
+            if i:
+                nxt = [c.deriv(var) if c else c for c in D[:-1]]
+                nxt.append(lead_d)
+                for q in range(1, len(D)):
+                    nxt[q] = nxt[q] + D[q - 1]
+                nxt.append(lead)
+                D = nxt
+            if a:
+                for q, c in enumerate(D):
+                    if c:
+                        c = a * c
+                        out[q] = out[q] + c if out[q] else c
+        return LinDiffOp(var, out)
 
     def apply(self, f: RatFunc) -> RatFunc:
         """Apply the operator to a field element."""

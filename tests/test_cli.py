@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from prolongkit.cli import main
@@ -248,6 +253,22 @@ def test_check_options_out_of_range_are_usage_errors(capsys, argv):
     assert out.err.startswith("error: ") and out.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["check", "hopf", "--group", "ga", "--seed", "5", "--cases", "7"], "--seed"),
+    (["check", "conjugation", "--cases", "2", "--file", "/nonexistent.json",
+      "--group", "ga", "--order", "9"], "--group"),
+    (["check", "embedding", "--i", "1"], "--i"),
+    (["check", "dual-swap", "--file", "/nonexistent.json"], "--file"),
+])
+def test_check_options_the_suite_does_not_take_are_usage_errors(
+        capsys, argv, option):
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: check {argv[1]} does not take {option}\n"
+
+
 @pytest.mark.parametrize("entry", [
     "(" * 5000 + "x" + ")" * 5000,
     "-" * 5000 + "x",
@@ -281,3 +302,83 @@ def test_python_dash_m_runs_the_cli():
         capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outcome"] == "pass"
+
+
+# exit-code contract: any argv over small documents exits 0, 1 or 2 and never
+# with a traceback.  Integer options stay small to bound the work.
+_ENTRIES = ("0", "1", "x", "t", "t/x", "1/x", "x^2-t", "1/(x-t)", "(x+t)^-2",
+            "theta", "lam", "theta*x", "1/theta", "lam^-1")
+_BAD_ENTRIES = ("x^", "(", "", "1/0", "x/(t-t)", "2^-1.5", "q", "x^99999999")
+_SHAPES = (b"", b"[]", b"not json", b"\xff", b'{"n": 0, "matrix": []}',
+           b'{"n": 1, "matrix": [[1]]}', b'{"n": 2, "matrix": [["0"]]}',
+           b'{"n": true, "matrix": [["0"]]}', b'{"n": 1, "matrix": [["x"]], '
+           b'"name": 3}')
+# one_of draws its branches about equally often, so a branch listed three
+# times weights well-formed input three to one and most documents reach the
+# mathematics
+_entry = st.one_of(*[st.sampled_from(_ENTRIES)] * 3,
+                   st.sampled_from(_BAD_ENTRIES))
+_matrix_docs = st.integers(1, 2).flatmap(lambda n: st.lists(
+    st.lists(_entry, min_size=n, max_size=n), min_size=n, max_size=n).map(
+        lambda m: json.dumps({"n": n, "matrix": m}).encode()))
+_docs = st.one_of(*[_matrix_docs] * 3, st.sampled_from(_SHAPES))
+_FILES = st.sampled_from(["A", "B", "MISSING"])
+_SMALL = st.sampled_from(["1", "2", "0", "3", "-1", "x"])
+_TOKENS = ("prolong", "verify", "check", "tensor", "dual", "dsum", "hopf",
+           "exactness", "conjugation", "-i", "--i", "--n", "--kind", "lemma",
+           "--example", "xt", "--solution", "--strip-binomials", "--group",
+           "ga", "--order", "--cases", "--seed", "--file", "A", "B",
+           "MISSING", "-1", "0", "2", "--help", "--")
+
+
+def _option(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _tokens(*parts):
+    """An argv strategy: the concatenation of parts, each drawing a list of
+    tokens."""
+    return st.tuples(*parts).map(lambda ps: [tok for p in ps for tok in p])
+
+
+_file = _FILES.map(lambda f: [f])
+_check_options = st.lists(st.one_of(
+    _option("--n", _SMALL), _option("--i", _SMALL), _option("--seed", _SMALL),
+    _option("--group", st.sampled_from(["ga", "gm", "gx"])),
+    _option("--order", _SMALL), _option("--file", _FILES)),
+    max_size=3).map(lambda opts: [tok for o in opts for tok in o])
+_argvs = st.one_of(
+    _tokens(st.just(["prolong"]), _file, _option("-i", _SMALL),
+            st.sampled_from([[], ["--kind", "lemma"], ["--kind", "iterated"],
+                             ["--kind", "nope"]])),
+    _tokens(st.just(["verify"]), _file, _option("-i", _SMALL),
+            st.one_of(_option("--example", st.sampled_from(["xt", "yt"])),
+                      _option("--solution", _FILES)),
+            st.sampled_from([[], ["--strip-binomials"]])),
+    # --cases always comes with a suite, so no example runs a default of
+    # 50 or 100 cases
+    _tokens(st.just(["check"]),
+            st.sampled_from(["conjugation", "embedding", "exactness",
+                             "product-rule", "dual-swap", "nope"]).map(
+                                 lambda n: [n]),
+            _option("--cases", _SMALL), _check_options),
+    _tokens(st.just(["check", "hopf"]), _check_options),
+    _tokens(st.sampled_from(["tensor", "dsum", "dual"]).map(lambda c: [c]),
+            _file, st.lists(_FILES, max_size=2)),
+    st.lists(st.sampled_from(_TOKENS) | st.text(max_size=4), max_size=6))
+
+
+@hypothesis.given(_argvs, _docs, _docs)
+@hypothesis.settings(deadline=None, max_examples=300)
+def test_exit_code_contract(argv, doc_a, doc_b):
+    with tempfile.TemporaryDirectory() as d:
+        paths = {"MISSING": os.path.join(d, "missing.json")}
+        for name, doc in (("A", doc_a), ("B", doc_b)):
+            paths[name] = os.path.join(d, name + ".json")
+            with open(paths[name], "wb") as fh:
+                fh.write(doc)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([paths.get(tok, tok) for tok in argv])
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert "Traceback" not in err.getvalue()

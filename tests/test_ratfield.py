@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -252,3 +253,92 @@ def test_zero_operator_is_absorbing():
     assert (z * d).is_zero
     assert (d * z).is_zero
     assert z.order == -1
+
+
+# the operator product against its binomial expansion ----------------------
+
+def binomial_product(A, B):
+    """A * B by d^i * b = sum_k C(i, k) b^(i-k) d^k for every pair of
+    coefficients: the reference for LinDiffOp.__mul__."""
+    if A.is_zero or B.is_zero:
+        return LinDiffOp(A.var, [])
+    out = [RatFunc.zero()] * (len(A.coeffs) + len(B.coeffs) - 1)
+    for j, b in enumerate(B.coeffs):
+        derivs = [b]
+        for _ in range(len(A.coeffs) - 1):
+            derivs.append(derivs[-1].deriv(A.var))
+        for i, a in enumerate(A.coeffs):
+            for k in range(i + 1):
+                out[k + j] = out[k + j] + a * derivs[i - k] * math.comb(i, k)
+    return LinDiffOp(A.var, out)
+
+
+small_coeffs = st.fractions(min_value=-3, max_value=3, max_denominator=2)
+small_mpolys = st.dictionaries(keys, small_coeffs, max_size=2).map(MPoly)
+# zero coefficients are drawn often, so interior zeros and zero operators
+# (all coefficients zero) both occur
+op_coeffs = st.one_of(st.just(RatFunc.zero()), st.builds(
+    RatFunc, small_mpolys, small_mpolys.filter(lambda p: not p.is_zero)))
+
+
+@hypothesis.given(st.sampled_from("xt"), st.lists(op_coeffs, max_size=5),
+                  st.lists(op_coeffs, max_size=5))
+@hypothesis.settings(deadline=None, max_examples=120)
+def test_operator_product_matches_binomial_expansion(var, a, b):
+    A, B = LinDiffOp(var, a), LinDiffOp(var, b)
+    assert A * B == binomial_product(A, B)
+    assert B * A == binomial_product(B, A)
+
+
+# sums: the divisibility fast path against direct reduction ----------------
+
+def assert_canonical(f):
+    """Coprime integer polynomials with no common integer factor and a
+    positive leading denominator coefficient."""
+    values = [*f.num.terms.values(), *f.den.terms.values()]
+    assert all(type(c) is int for c in values)
+    assert math.gcd(*values) == 1
+    assert f.den.leading()[1] > 0
+    assert gcd(f.num, f.den) == MPoly.one()
+
+
+def reduced_sum(a, b):
+    return RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
+
+
+int_mpolys = st.dictionaries(keys, st.integers(-3, 3), max_size=3).map(MPoly)
+nonzero_int_mpolys = int_mpolys.filter(lambda p: not p.is_zero)
+
+
+@hypothesis.given(int_mpolys, int_mpolys, nonzero_int_mpolys,
+                  nonzero_int_mpolys, nonzero_int_mpolys,
+                  st.integers(1, 6), st.integers(1, 6))
+@hypothesis.settings(deadline=None, max_examples=200)
+def test_sum_matches_direct_reduction(n1, n2, p, r, s, c1, c2):
+    # denominators c1*p*r and c2*p*s share p and carry integer content, so
+    # one often divides the other
+    a = RatFunc(n1, (p * r).scale(c1))
+    b = RatFunc(n2, (p * s).scale(c2))
+    for total in (a + b, b + a):
+        assert total == reduced_sum(a, b)
+        assert_canonical(total)
+
+
+_x, _t = MPoly.variable("x"), MPoly.variable("t")
+
+
+@pytest.mark.parametrize("a, b, want", [
+    (RatFunc(1, _x.scale(2) + MPoly.const(2)), RatFunc(1, _x + MPoly.one()),
+     RatFunc(3, _x.scale(2) + MPoly.const(2))),
+    (RatFunc(1, _x.scale(2)), RatFunc(1, (_x * _x).scale(4)),
+     RatFunc(_x.scale(2) + MPoly.one(), (_x * _x).scale(4))),
+    (RatFunc(1, _t.scale(3)), RatFunc(1, (_t * _t).scale(6)),
+     RatFunc(_t.scale(2) + MPoly.one(), (_t * _t).scale(6))),
+    (RatFunc(1, (_x + _t).scale(2)), RatFunc(1, (_x + _t).scale(2)),
+     RatFunc(1, _x + _t)),
+    (RatFunc(1, _x - _t), RatFunc(-1, _x - _t), RatFunc.zero()),
+], ids=["2x+2,x+1", "2x,4x^2", "3t,6t^2", "d+d", "d-d"])
+def test_sum_fixed_cases(a, b, want):
+    for total in (a + b, b + a):
+        assert total == want == reduced_sum(a, b)
+        assert_canonical(total)
