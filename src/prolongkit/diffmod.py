@@ -17,7 +17,8 @@ which is what is_morphism checks.  Three prolongation shapes appear:
 
 The two order-i shapes are conjugate by the constant upper-triangular matrix
 of change_basis_matrix, and the order-2 one-step shape embeds into the
-twice-iterated shape through the constant map of embedding_E.
+twice-iterated shape through the constant map of embedding_E.  Every
+block-triangular shape, here and in solspace, is matrices.block_triangular.
 """
 
 from __future__ import annotations
@@ -105,20 +106,8 @@ def prolong(M: DiffModule, i: int) -> DiffModule:
     """
     if i < 0:
         raise ValueError("prolongation order must be >= 0")
-    n = M.n
-    As = _t_derivatives(M.A, i)
-    rows = []
-    for r in range(i + 1):
-        brow = []
-        for c in range(i + 1):
-            if c > r:
-                brow.append(mat.zeros(n, n))
-            else:
-                w = math.comb(r, c)
-                blk = As[r - c]
-                brow.append(blk if w == 1 else mat.scale(blk, RatFunc.from_int(w)))
-        rows.append(brow)
-    return DiffModule(mat.block(rows))
+    return DiffModule(mat.block_triangular(
+        _t_derivatives(M.A, i), math.comb, mat.zeros(M.n, M.n)))
 
 
 def prolong_lemma(M: DiffModule, i: int) -> DiffModule:
@@ -129,20 +118,9 @@ def prolong_lemma(M: DiffModule, i: int) -> DiffModule:
     """
     if i < 0:
         raise ValueError("prolongation order must be >= 0")
-    n = M.n
-    As = _t_derivatives(M.A, i)
-    rows = []
-    for r in range(i + 1):
-        brow = []
-        for c in range(i + 1):
-            w = math.comb(i - c, r - c) if r >= c else 0
-            if w == 0:
-                brow.append(mat.zeros(n, n))
-            else:
-                blk = As[r - c]
-                brow.append(blk if w == 1 else mat.scale(blk, RatFunc.from_int(w)))
-        rows.append(brow)
-    return DiffModule(mat.block(rows))
+    return DiffModule(mat.block_triangular(
+        _t_derivatives(M.A, i), lambda r, c: math.comb(i - c, r - c),
+        mat.zeros(M.n, M.n)))
 
 
 def change_basis_matrix(n: int, i: int):
@@ -154,18 +132,9 @@ def change_basis_matrix(n: int, i: int):
     """
     if n < 1 or i < 0:
         raise ValueError("need n >= 1 and i >= 0")
-    rows = []
-    for p in range(i + 1):
-        brow = []
-        for q in range(i + 1):
-            w = math.comb(i - q + p, p) if q >= p else 0
-            if w == 0:
-                brow.append(mat.zeros(n, n))
-            else:
-                blk = mat.identity(n)
-                brow.append(blk if w == 1 else mat.scale(blk, RatFunc.from_int(w)))
-        rows.append(brow)
-    return mat.block(rows)
+    return mat.transpose(mat.block_triangular(
+        [mat.identity(n)] * (i + 1), lambda q, p: math.comb(i - q + p, p),
+        mat.zeros(n, n)))
 
 
 def conjugate_constant(M: DiffModule, C) -> DiffModule:
@@ -308,20 +277,6 @@ def prolong_morphism(phi: ModuleMorphism, i: int) -> ModuleMorphism:
     C(r, c) * d_t^(r-c) P, a morphism prolong(src, i) -> prolong(dst, i)."""
     if i < 0:
         raise ValueError("prolongation order must be >= 0")
-    Ps = [phi.P]
-    for _ in range(i):
-        Ps.append(mat.deriv(Ps[-1], "t"))
-    rows = []
-    zr, zc = phi.dst.n, phi.src.n
-    for r in range(i + 1):
-        brow = []
-        for c in range(i + 1):
-            if c > r:
-                brow.append(mat.zeros(zr, zc))
-            else:
-                w = math.comb(r, c)
-                blk = Ps[r - c]
-                brow.append(blk if w == 1 else mat.scale(blk, RatFunc.from_int(w)))
-        rows.append(brow)
-    return ModuleMorphism(prolong(phi.src, i), prolong(phi.dst, i),
-                          mat.block(rows))
+    P = mat.block_triangular(_t_derivatives(phi.P, i), math.comb,
+                             mat.zeros(phi.dst.n, phi.src.n))
+    return ModuleMorphism(prolong(phi.src, i), prolong(phi.dst, i), P)

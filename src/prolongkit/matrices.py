@@ -1,10 +1,13 @@
 """Dense matrix helpers over RatFunc: plain lists of lists, pure functions.
 
-Nothing here mutates its arguments; elimination-based routines (rank, det,
-inverse) rely on exact field division so there is no pivoting subtlety.
+Nothing here mutates its arguments.  rank, det and inverse share one
+Gauss-Jordan elimination, which relies on exact field division so there is
+no pivoting subtlety.
 """
 
 from __future__ import annotations
+
+import math
 
 from .ratfield import RatFunc
 
@@ -112,47 +115,74 @@ def block(rows):
     return out
 
 
-def rank(A) -> int:
-    rows, cols = shape(A)
-    M = [list(row) for row in A]
-    r = 0
+def block_triangular(blocks, weight, zero, scale=scale):
+    """Block lower-triangular matrix whose block (r, c) is
+    weight(r, c) * blocks[r - c] for r >= c.
+
+    The blocks share one shape, and `zero` (a zero block of that shape)
+    fills the strict upper triangle and every block of weight 0.  Each
+    other weight is turned into a RatFunc once and applied with
+    scale(block, w); a weight of 1 reuses the block as it is.
+    """
+    size = len(blocks)
+    grid = []
+    for r in range(size):
+        brow = []
+        for c in range(size):
+            w = weight(r, c) if r >= c else 0
+            if w == 0:
+                brow.append(zero)
+            elif w == 1:
+                brow.append(blocks[r - c])
+            else:
+                brow.append(scale(blocks[r - c], RatFunc.from_int(w)))
+        grid.append(brow)
+    return block(grid)
+
+
+def _reduce(M, cols: int) -> tuple[list[RatFunc], int]:
+    """Gauss-Jordan elimination of M in place, pivoting on the first `cols`
+    columns; row operations run over whole rows.
+
+    Returns the pivots and the number of row swaps.  The number of pivots
+    is the rank of the first `cols` columns, and their pivot rows come
+    first, each with a leading 1.
+    """
+    rows = len(M)
+    pivots = []
+    swaps = 0
     for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if not M[i][c].is_zero), None)
         if pivot is None:
             continue
-        M[r], M[pivot] = M[pivot], M[r]
+        if pivot != r:
+            M[r], M[pivot] = M[pivot], M[r]
+            swaps += 1
+        pivots.append(M[r][c])
         inv = RatFunc.one() / M[r][c]
         M[r] = [v * inv for v in M[r]]
         for i in range(rows):
             if i != r and not M[i][c].is_zero:
                 f = M[i][c]
                 M[i] = [v - f * w for v, w in zip(M[i], M[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
+    return pivots, swaps
+
+
+def rank(A) -> int:
+    return len(_reduce([list(row) for row in A], shape(A)[1])[0])
 
 
 def det(A) -> RatFunc:
     rows, cols = shape(A)
     if rows != cols:
         raise ValueError("determinant of a non-square matrix")
-    M = [list(row) for row in A]
-    result = RatFunc.one()
-    for c in range(cols):
-        pivot = next((i for i in range(c, rows) if not M[i][c].is_zero), None)
-        if pivot is None:
-            return RatFunc.zero()
-        if pivot != c:
-            M[c], M[pivot] = M[pivot], M[c]
-            result = -result
-        result = result * M[c][c]
-        inv = RatFunc.one() / M[c][c]
-        for i in range(c + 1, rows):
-            if not M[i][c].is_zero:
-                f = M[i][c] * inv
-                M[i] = [v - f * w for v, w in zip(M[i], M[c])]
-    return result
+    pivots, swaps = _reduce([list(row) for row in A], cols)
+    if len(pivots) < cols:
+        return RatFunc.zero()
+    return math.prod(pivots, start=RatFunc.from_int((-1) ** swaps))
 
 
 def inverse(A):
@@ -160,15 +190,6 @@ def inverse(A):
     if rows != cols:
         raise ValueError("inverse of a non-square matrix")
     M = [list(row) + list(irow) for row, irow in zip(A, identity(rows))]
-    for c in range(cols):
-        pivot = next((i for i in range(c, rows) if not M[i][c].is_zero), None)
-        if pivot is None:
-            raise ValueError("matrix is singular")
-        M[c], M[pivot] = M[pivot], M[c]
-        inv = RatFunc.one() / M[c][c]
-        M[c] = [v * inv for v in M[c]]
-        for i in range(rows):
-            if i != c and not M[i][c].is_zero:
-                f = M[i][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[c])]
+    if len(_reduce(M, cols)[0]) < cols:
+        raise ValueError("matrix is singular")
     return [row[cols:] for row in M]

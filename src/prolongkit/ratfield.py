@@ -436,8 +436,8 @@ def _zx_prem(a, b):
 def _zx_prs_gcd(a, b):
     """Gcd of the primitive parts via the subresultant chain: dividing each
     remainder by g * h^delta bounds the growth without any content gcds
-    along the way.  Always correct; used directly on small inputs and as
-    the fallback when the modular route declines."""
+    along the way.  gcd's one full route, taken when neither the
+    divisibility test nor the coprime probe settles the pair."""
     g = h = [1]
     while b:
         delta = max(a) - max(b)
@@ -480,12 +480,6 @@ def _zx_divides(a, g):
             else:
                 r.pop(kk, None)
     return True
-
-
-# 2^521 - 1 is prime and far above any coefficient this layer produces, so a
-# single modular image almost always suffices; a lift that still fails the
-# division check just falls back to the exact chain.
-_PRIME = (1 << 521) - 1
 
 
 def _eval_list(u, t0: int, p: int) -> int:
@@ -534,12 +528,14 @@ def _mod_gcd_degree(A, B, p) -> int:
 
 
 def _zx_coprime_probe(a, b) -> bool:
-    """True when one modular evaluation proves the primitive parts coprime.
+    """True when a modular evaluation proves the primitive parts coprime.
 
     Evaluating t at a point that keeps both leading rows nonzero can only
     raise the x-degree of the gcd image, so a degree-0 image certifies
-    gcd = 1.  Runs over a word-size prime so the common coprime case stays
-    cheap; False means inconclusive, never "not coprime".
+    gcd = 1.  A coprime pair has an image of positive degree only at roots
+    of its resultant, so such a point gives way to the next one.  Runs over
+    a word-size prime so the common coprime case stays cheap; False means
+    inconclusive, never "not coprime".
     """
     p = _P61
     da, db = max(a), max(b)
@@ -548,106 +544,9 @@ def _zx_coprime_probe(a, b) -> bool:
         Be = _mod_eval_rows(b, t0, p)
         if Ae.get(da) is None or Be.get(db) is None:
             continue
-        return _mod_gcd_degree(_dense(Ae, da), _dense(Be, db), p) == 0
+        if _mod_gcd_degree(_dense(Ae, da), _dense(Be, db), p) == 0:
+            return True
     return False
-
-
-def _mod_rem_list(A, B, p):
-    db = len(B) - 1
-    inv = pow(B[-1], -1, p)
-    R = list(A)
-    while len(R) - 1 >= db and R:
-        c = R[-1] * inv % p
-        if c:
-            shift = len(R) - 1 - db
-            for k in range(db):
-                R[shift + k] = (R[shift + k] - c * B[k]) % p
-        R.pop()
-        while R and not R[-1]:
-            R.pop()
-    return R
-
-
-def _mod_gcd_lists(A, B, p):
-    while B:
-        A, B = B, _mod_rem_list(A, B, p)
-    inv = pow(A[-1], -1, p)
-    return [v * inv % p for v in A]
-
-
-def _newton_interp(points, values, p):
-    n = len(points)
-    coef = list(values)
-    for j in range(1, n):
-        for i in range(n - 1, j - 1, -1):
-            inv = pow((points[i] - points[i - j]) % p, -1, p)
-            coef[i] = (coef[i] - coef[i - 1]) * inv % p
-    out = [coef[-1]]
-    for i in range(n - 2, -1, -1):
-        new = [0] * (len(out) + 1)
-        for k, v in enumerate(out):
-            new[k + 1] = (new[k + 1] + v) % p
-            new[k] = (new[k] - v * points[i]) % p
-        new[0] = (new[0] + coef[i]) % p
-        out = new
-    return out
-
-
-def _zx_mod_gcd(a, b):
-    """Gcd of the primitive parts by evaluation in t and interpolation over
-    a large prime.  Returns None when the images misbehave; a returned
-    table is verified by exact division, so it is always correct.
-
-    An image of x-degree 0 proves coprimality outright: evaluation at a
-    point keeping the leading rows alive can only raise the gcd degree.
-    """
-    p = _PRIME
-    da, db = max(a), max(b)
-    lcg = _z_gcd(a[da], b[db])
-    dt_a = max(len(u) for u in a.values()) - 1
-    dt_b = max(len(u) for u in b.values()) - 1
-    need = min(dt_a, dt_b) + len(lcg)
-    pts: list[int] = []
-    vals: list[list[int]] = []
-    dmin = None
-    t0 = 0
-    tries = 0
-    while len(pts) < need:
-        t0 += 1
-        tries += 1
-        if tries > 6 * need + 40:
-            return None
-        lg = _eval_list(lcg, t0, p)
-        if not lg:
-            continue
-        Ae = _mod_eval_rows(a, t0, p)
-        Be = _mod_eval_rows(b, t0, p)
-        if Ae.get(da) is None or Be.get(db) is None:
-            continue
-        G = _mod_gcd_lists(_dense(Ae, da), _dense(Be, db), p)
-        dg = len(G) - 1
-        if dg == 0:
-            return {0: [1]}
-        if dmin is None or dg < dmin:
-            dmin = dg
-            pts, vals = [], []
-        if dg == dmin:
-            pts.append(t0)
-            vals.append([v * lg % p for v in G])
-    half = p >> 1
-    out: dict[int, list[int]] = {}
-    for dx in range(dmin + 1):
-        series = [row[dx] for row in vals]
-        cs = _newton_interp(pts, series, p)
-        u = _z_trim([c - p if c > half else c for c in cs])
-        if u:
-            out[dx] = u
-    if not out or max(out) != dmin:
-        return None
-    out = _zx_div_content(out, _zx_content(out))
-    if _zx_divides(a, out) and _zx_divides(b, out):
-        return out
-    return None
 
 
 def _canon_poly(p: MPoly) -> MPoly:
@@ -682,21 +581,16 @@ def gcd(p: MPoly, q: MPoly) -> MPoly:
             break
         d = _z_gcd(d, u)
     # the primitive part of b is 1 when b is free of x.  One of x-degree 1
-    # is irreducible, so it either divides a or is coprime to it; above
-    # that, the probe may prove coprimality before a full gcd is run
+    # is irreducible, so it either divides a or is coprime to it.  Above
+    # that, the coprime probe settles most pairs, and the subresultant PRS
+    # runs only when the probe is inconclusive
     g = None
     if max(b) > 0:
         b = _zx_div_content(b, cb)
         if _zx_divides(a, b):
             g = b
         elif max(b) > 1 and not _zx_coprime_probe(a, b):
-            a = _zx_div_content(a, _zx_content(a))
-            size = sum(len(u) for u in a.values())
-            size += sum(len(u) for u in b.values())
-            if size >= 24:
-                g = _zx_mod_gcd(a, b)
-            if g is None:
-                g = _zx_prs_gcd(a, b)
+            g = _zx_prs_gcd(_zx_div_content(a, _zx_content(a)), b)
     if g is None:
         if len(d) == 1:
             # an integer content is stripped by the canonical scaling

@@ -225,54 +225,30 @@ def build_fundamental_prolongation(Y, i: int):
     Block (r, c) is C(r, c) * d_t^(r-c) Y: the binomial weights are what
     makes the result satisfy the prolonged system (see verify_fundamental).
     """
-    if i < 0:
-        raise ValueError("prolongation order must be >= 0")
-    n = len(Y)
-    Ys = [Y]
-    for _ in range(i):
-        Ys.append(sol_mat_deriv(Ys[-1], "t"))
-    zero_row = [SolExpr.zero()] * n
-    rows = []
-    for r in range(i + 1):
-        for line in range(n):
-            out = []
-            for c in range(i + 1):
-                if c > r:
-                    out.extend(zero_row)
-                else:
-                    w = math.comb(r, c)
-                    blk_row = Ys[r - c][line]
-                    if w == 1:
-                        out.extend(blk_row)
-                    else:
-                        wf = RatFunc.from_int(w)
-                        out.extend(e.scale(wf) for e in blk_row)
-            rows.append(out)
-    return rows
+    return _prolong_solution(Y, i, math.comb)
 
 
 def unweighted_prolongation(Y, i: int):
     """Same block layout but with bare d_t^(r-c) Y blocks, no binomial
     weights.  Kept to demonstrate that the weights are required: from order
     2 on this matrix fails the transport check."""
+    return _prolong_solution(Y, i, lambda r, c: 1)
+
+
+def _prolong_solution(Y, i: int, weight):
+    """Block (r, c) = weight(r, c) * d_t^(r-c) Y for r >= c, zero above."""
     if i < 0:
         raise ValueError("prolongation order must be >= 0")
     n = len(Y)
     Ys = [Y]
     for _ in range(i):
         Ys.append(sol_mat_deriv(Ys[-1], "t"))
-    zero_row = [SolExpr.zero()] * n
-    rows = []
-    for r in range(i + 1):
-        for line in range(n):
-            out = []
-            for c in range(i + 1):
-                if c > r:
-                    out.extend(zero_row)
-                else:
-                    out.extend(Ys[r - c][line])
-            rows.append(out)
-    return rows
+    zero = [[SolExpr.zero()] * n for _ in range(n)]
+    return mat.block_triangular(Ys, weight, zero, _sol_mat_scale)
+
+
+def _sol_mat_scale(Y, f: RatFunc):
+    return [[e.scale(f) for e in row] for row in Y]
 
 
 class FundamentalCheck:

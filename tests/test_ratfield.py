@@ -6,7 +6,8 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from prolongkit.ratfield import LinDiffOp, MPoly, RatFunc, gcd
+from prolongkit.ratfield import (LinDiffOp, MPoly, RatFunc, _table,
+                                 _zx_coprime_probe, gcd)
 from prolongkit.sampling import random_operator, random_ratfunc
 
 X = RatFunc.var_x()
@@ -342,3 +343,53 @@ def test_sum_fixed_cases(a, b, want):
     for total in (a + b, b + a):
         assert total == want == reduced_sum(a, b)
         assert_canonical(total)
+
+
+# dense inputs: p*r and q*r hold at least 24 Z[t] coefficients, and r makes
+# their gcd nontrivial, so the coprime probe is inconclusive and, unless one
+# divides the other, the subresultant PRS does the work
+
+def _dense_poly(dx, dt):
+    corner = st.integers(-4, 4).filter(bool)
+    return st.tuples(st.lists(st.integers(-4, 4), min_size=(dx + 1) * (dt + 1),
+                              max_size=(dx + 1) * (dt + 1)), corner).map(
+        lambda v: MPoly({(k // (dt + 1), k % (dt + 1)): c
+                         for k, c in enumerate(v[0][:-1] + [v[1]])}))
+
+
+def _zt_coefficients(f):
+    """Number of Z[t] coefficients of f viewed as a polynomial in x."""
+    rows: dict[int, int] = {}
+    for dx, dt in f.terms:
+        rows[dx] = max(rows.get(dx, 0), dt + 1)
+    return sum(rows.values())
+
+
+def _divides(d, f):
+    try:
+        f.exact_div(d)
+    except ValueError:
+        return False
+    return True
+
+
+@hypothesis.given(_dense_poly(2, 2), _dense_poly(2, 2),
+                  st.integers(1, 2).flatmap(lambda dx: _dense_poly(dx, 1)))
+@hypothesis.settings(deadline=None, max_examples=60)
+def test_gcd_of_dense_products(p, q, r):
+    a, b = p * r, q * r
+    hypothesis.assume(_zt_coefficients(a) + _zt_coefficients(b) >= 24)
+    g = gcd(a, b)
+    assert _divides(r, g)
+    assert _divides(g, a) and _divides(g, b)
+    assert gcd(a.exact_div(g), b.exact_div(g)) == MPoly.one()
+
+
+def test_coprime_probe_looks_past_a_root_of_the_resultant():
+    # a and b are coprime, but at t = 2, the probe's first point, both
+    # images are divisible by x
+    x, t = MPoly.variable("x"), MPoly.variable("t")
+    a = x * x + t - MPoly.const(2)
+    b = x * x + x + t - MPoly.const(2)
+    assert _zx_coprime_probe(_table(a), _table(b))
+    assert gcd(a, b) == MPoly.one()
