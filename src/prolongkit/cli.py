@@ -303,10 +303,8 @@ def main(argv=None) -> int:
                 "prolong", "verify") and args.i < 0:
             raise InputError("order must be >= 0")
         return args.func(args)
-    except InputError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except (ModuleDocError, ExprError, UnrepresentableSolutionError) as e:
+    except (InputError, ModuleDocError, ExprError,
+            UnrepresentableSolutionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
 

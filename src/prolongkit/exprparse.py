@@ -23,6 +23,7 @@ over them and the evaluator folds them without recursion.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass
 
 from .diffmod import DiffModule
@@ -83,7 +84,12 @@ class Pow:
 
 # tokenizer ----------------------------------------------------------------
 
-_OPS = set("+-*/^()")
+# skipped whitespace, then one token: an ASCII integer or name, an operator,
+# any other character (an error) or the end of the text.  Every character a
+# token can hold is ASCII, so character offsets are byte offsets
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<INT>[0-9]+)"
+                    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
+                    r"|(?P<OP>[-+*/^()])|(?P<BAD>.)|\Z)", re.DOTALL)
 
 # integer literals are unbounded; exponents are capped so a degenerate
 # tower like 9^9^9 cannot blow up at parse time
@@ -95,56 +101,18 @@ MAX_EXPONENT = 10 ** 6
 MAX_DEPTH = 100
 
 
-def _is_digit(ch: str) -> bool:
-    # ASCII only: str.isdigit() also accepts superscripts and other Unicode
-    # digits that int() rejects
-    return "0" <= ch <= "9"
-
-
-def _is_name_start(ch: str) -> bool:
-    return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
-
-
-def _is_name_char(ch: str) -> bool:
-    return _is_name_start(ch) or _is_digit(ch)
-
-
 def _tokenize(text: str):
-    """Yield (kind, value, byte_offset) triples; kinds INT, NAME, OP, END."""
+    """(kind, value, byte_offset) triples; kinds INT, NAME, OP, END."""
     tokens = []
-    i = 0
-    n = len(text)
-    byte_pos = 0
-    while i < n:
-        ch = text[i]
-        if ch in " \t\r\n":
-            i += 1
-            byte_pos += len(ch.encode("utf-8"))
-            continue
-        if _is_digit(ch):
-            j = i
-            while j < n and _is_digit(text[j]):
-                j += 1
-            tokens.append(("INT", text[i:j], byte_pos))
-            byte_pos += j - i
-            i = j
-            continue
-        if _is_name_start(ch):
-            j = i
-            while j < n and _is_name_char(text[j]):
-                j += 1
-            word = text[i:j]
-            tokens.append(("NAME", word, byte_pos))
-            byte_pos += len(word.encode("utf-8"))
-            i = j
-            continue
-        if ch in _OPS:
-            tokens.append(("OP", ch, byte_pos))
-            i += 1
-            byte_pos += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", byte_pos)
-    tokens.append(("END", "", byte_pos))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind is None:
+            # trailing whitespace leaves one more empty match at the end
+            tokens.append(("END", "", m.end()))
+            break
+        if kind == "BAD":
+            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 
 
@@ -297,19 +265,25 @@ def split_chain(node):
     return node, ops
 
 
-def _evaluate(node):
-    """Value of an AST: an integer MPoly until a '/' or a negative power
-    needs the field, a RatFunc from there on.  Mixed operands meet in
-    RatFunc's arithmetic, which converts the MPoly once."""
-    node, ops = split_chain(node)
+def _poly_leaf(node) -> MPoly:
     if type(node) is IntLit:
-        value = MPoly.const(node.value)
-    elif type(node) is Var:
-        value = MPoly.variable(node.name)
+        return MPoly.const(node.value)
+    return MPoly.variable(node.name)
+
+
+def evaluate(node, leaf=_poly_leaf):
+    """Value of an AST whose integer literals and variables leaf maps to
+    ring elements; '/' and negative powers go through the ring's own
+    division.  With the default leaf the value is an integer MPoly until a
+    '/' or a negative power needs the field, a RatFunc from there on; mixed
+    operands meet in RatFunc's arithmetic, which converts the MPoly once."""
+    node, ops = split_chain(node)
+    if type(node) is IntLit or type(node) is Var:
+        value = leaf(node)
     elif type(node) is Neg:
-        value = -_evaluate(node.operand)
+        value = -evaluate(node.operand, leaf)
     elif type(node) is Pow:
-        value = _evaluate(node.base)
+        value = evaluate(node.base, leaf)
         e = node.exponent
         if e < 0:
             if not value:
@@ -320,7 +294,7 @@ def _evaluate(node):
     else:
         raise TypeError(f"not an expression node: {node!r}")
     for op in ops:
-        rhs = _evaluate(op.right)
+        rhs = evaluate(op.right, leaf)
         if op.op == "+":
             value = value + rhs
         elif op.op == "-":
@@ -338,7 +312,7 @@ def _evaluate(node):
 
 def eval_ratfunc(node) -> RatFunc:
     """Evaluate an AST in x and t over the rational-function field."""
-    value = _evaluate(node)
+    value = evaluate(node)
     return RatFunc(value) if type(value) is MPoly else value
 
 

@@ -7,6 +7,12 @@ y_0 are allowed), for the additive group it is not.  Tensor powers are
 modeled by extra "legs": a 2-leg element is a polynomial in u_j and v_j,
 a 3-leg element also in w_j.
 
+DiffPoly is a ratfield.Sparse whose monomials are dense: a tuple of
+legs * (order + 1) exponents, that of y_j in leg l at index
+l * (order + 1) + j, so the base's product (which adds exponent tuples
+entry by entry) is the product here.  Printing sorts the terms by the
+sparse form ((leg, j), exponent), ... of their monomials.
+
 Structure maps are algebra homomorphisms fixed on generators:
 
   additive (ga):        delta(y_j) = u_j + v_j     S(y_j) = -y_j    eps(y_j) = 0
@@ -24,14 +30,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .ratfield import Sparse
+
 GA = "ga"
 GM = "gm"
 _GROUPS = (GA, GM)
 
 _LEG_NAMES = ("y", "u", "v", "w")
-
-# monomial: sorted tuple of (((leg, index), exponent), ...)
-Monomial = tuple
 
 
 class OrderOverflowError(ValueError):
@@ -43,10 +48,11 @@ def _check_group(group: str):
         raise ValueError(f"unknown group tag {group!r}")
 
 
-class DiffPoly:
-    """Truncated differential (Laurent) polynomial with leg structure."""
+class DiffPoly(Sparse):
+    """Truncated differential (Laurent) polynomial with leg structure, over
+    dense monomials (see the module docstring)."""
 
-    __slots__ = ("group", "order", "legs", "terms")
+    __slots__ = ("group", "order", "legs")
 
     def __init__(self, group: str, order: int, legs: int, terms=None):
         _check_group(group)
@@ -54,17 +60,16 @@ class DiffPoly:
             raise ValueError("truncation order must be >= 1")
         if not 1 <= legs <= 3:
             raise ValueError("legs must be 1, 2 or 3")
-        clean: dict[Monomial, Fraction] = {}
+        size = legs * (order + 1)
+        clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for mono, c in terms.items():
                 if not c:
                     continue
-                for (leg, j), e in mono:
-                    if not 0 <= leg < legs:
-                        raise ValueError(f"leg {leg} out of range")
-                    if not 0 <= j <= order:
-                        raise ValueError(f"derivative index {j} out of range")
-                    if e < 0 and (j != 0 or group != GM):
+                if len(mono) != size:
+                    raise ValueError(f"a monomial needs {size} exponents")
+                for k, e in enumerate(mono):
+                    if e < 0 and (k % (order + 1) or group != GM):
                         raise ValueError(
                             "negative exponents are only allowed on the "
                             "order-0 variable of the multiplicative group")
@@ -74,6 +79,15 @@ class DiffPoly:
         self.legs = legs
         self.terms = clean
 
+    def _like(self, terms) -> DiffPoly:
+        out = object.__new__(DiffPoly)
+        out.group, out.order, out.legs = self.group, self.order, self.legs
+        out.terms = terms
+        return out
+
+    def _unit(self) -> DiffPoly:
+        return DiffPoly.unit(self.group, self.order, self.legs)
+
     # constructors ---------------------------------------------------------
     @classmethod
     def zero(cls, group: str, order: int, legs: int = 1) -> DiffPoly:
@@ -81,30 +95,33 @@ class DiffPoly:
 
     @classmethod
     def unit(cls, group: str, order: int, legs: int = 1) -> DiffPoly:
-        return cls(group, order, legs, {(): Fraction(1)})
+        return cls.constant(group, order, 1, legs)
 
     @classmethod
     def constant(cls, group: str, order: int, c, legs: int = 1) -> DiffPoly:
-        return cls(group, order, legs, {(): Fraction(c)})
+        return cls(group, order, legs, {(0,) * (legs * (order + 1)): Fraction(c)})
 
     @classmethod
     def generator(cls, group: str, order: int, j: int, leg: int = 0,
                   legs: int = 1) -> DiffPoly:
-        return cls(group, order, legs, {(((leg, j), 1),): Fraction(1)})
+        if not 0 <= leg < legs:
+            raise ValueError(f"leg {leg} out of range")
+        if not 0 <= j <= order:
+            raise ValueError(f"derivative index {j} out of range")
+        mono = [0] * (legs * (order + 1))
+        mono[leg * (order + 1) + j] = 1
+        return cls(group, order, legs, {tuple(mono): Fraction(1)})
 
     def _same_shape(self, other: DiffPoly):
         if (self.group, self.order, self.legs) != (other.group, other.order, other.legs):
             raise ValueError("mixed algebra shapes")
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __eq__(self, other) -> bool:
-        if isinstance(other, DiffPoly):
-            return (self.group == other.group and self.order == other.order
-                    and self.legs == other.legs and self.terms == other.terms)
-        return NotImplemented
+        if isinstance(other, DiffPoly) and (
+                (self.group, self.order, self.legs)
+                != (other.group, other.order, other.legs)):
+            return False
+        return Sparse.__eq__(self, other)
 
     def __repr__(self) -> str:
         return f"DiffPoly({self.group!r}, {self})"
@@ -112,9 +129,11 @@ class DiffPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
+        n = self.order + 1
+        terms = sorted((tuple((divmod(k, n), e) for k, e in enumerate(mono) if e), c)
+                       for mono, c in self.terms.items())
         parts = []
-        for mono in sorted(self.terms):
-            c = self.terms[mono]
+        for mono, c in terms:
             factors = []
             if abs(c) != 1 or not mono:
                 factors.append(str(abs(c)))
@@ -132,91 +151,37 @@ class DiffPoly:
     # arithmetic -----------------------------------------------------------
     def __add__(self, other: DiffPoly) -> DiffPoly:
         self._same_shape(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
-            v = out.get(mono, Fraction(0)) + c
-            if v:
-                out[mono] = v
-            else:
-                out.pop(mono, None)
-        return DiffPoly(self.group, self.order, self.legs, out)
-
-    def __sub__(self, other: DiffPoly) -> DiffPoly:
-        return self + (-other)
-
-    def __neg__(self) -> DiffPoly:
-        return DiffPoly(self.group, self.order, self.legs,
-                        {m: -c for m, c in self.terms.items()})
-
-    def scale(self, c) -> DiffPoly:
-        c = Fraction(c)
-        return DiffPoly(self.group, self.order, self.legs,
-                        {m: v * c for m, v in self.terms.items()})
+        return Sparse.__add__(self, other)
 
     def __mul__(self, other: DiffPoly) -> DiffPoly:
         self._same_shape(other)
-        out: dict[Monomial, Fraction] = {}
-        for m1, c1 in self.terms.items():
-            d1 = dict(m1)
-            for m2, c2 in other.terms.items():
-                d = dict(d1)
-                for var, e in m2:
-                    v = d.get(var, 0) + e
-                    if v:
-                        d[var] = v
-                    else:
-                        d.pop(var, None)
-                mono = tuple(sorted(d.items()))
-                v = out.get(mono, Fraction(0)) + c1 * c2
-                if v:
-                    out[mono] = v
-                else:
-                    out.pop(mono, None)
-        return DiffPoly(self.group, self.order, self.legs, out)
+        return Sparse.__mul__(self, other)
 
     def inv(self) -> DiffPoly:
         """Inverse of a single-monomial element."""
         if len(self.terms) != 1:
             raise ValueError("only monomials are invertible here")
         (mono, c), = self.terms.items()
-        inverted = tuple(sorted((var, -e) for var, e in mono))
         return DiffPoly(self.group, self.order, self.legs,
-                        {inverted: Fraction(1) / c})
-
-    def __pow__(self, e: int) -> DiffPoly:
-        if e < 0:
-            return self.inv() ** (-e)
-        result = DiffPoly.unit(self.group, self.order, self.legs)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+                        {tuple(-e for e in mono): 1 / c})
 
     def derive(self) -> DiffPoly:
         """Leibniz derivation sending y_j to y_(j+1) in every leg."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[tuple[int, ...], Fraction] = {}
         for mono, c in self.terms.items():
-            for (leg, j), e in mono:
-                if j + 1 > self.order:
+            for k, e in enumerate(mono):
+                if not e:
+                    continue
+                if k % (self.order + 1) == self.order:
                     raise OrderOverflowError(
-                        f"derivative of order {j + 1} exceeds the truncation "
-                        f"order {self.order}")
-                d = dict(mono)
-                if e == 1:
-                    del d[(leg, j)]
-                else:
-                    d[(leg, j)] = e - 1
-                d[(leg, j + 1)] = d.get((leg, j + 1), 0) + 1
-                key = tuple(sorted(d.items()))
-                v = out.get(key, Fraction(0)) + c * e
-                if v:
-                    out[key] = v
-                else:
-                    out.pop(key, None)
-        return DiffPoly(self.group, self.order, self.legs, out)
+                        f"derivative of order {self.order + 1} exceeds the "
+                        f"truncation order {self.order}")
+                d = list(mono)
+                d[k] -= 1
+                d[k + 1] += 1
+                key = tuple(d)
+                out[key] = out.get(key, 0) + c * e
+        return self._like({k: v for k, v in out.items() if v})
 
 
 # structure maps -----------------------------------------------------------
@@ -224,11 +189,13 @@ class DiffPoly:
 def _substitute(e: DiffPoly, image, out_legs: int) -> DiffPoly:
     """Algebra homomorphism: image(leg, j) gives the target of each
     generator; images of Laurent variables must be invertible monomials."""
+    n = e.order + 1
     result = DiffPoly.zero(e.group, e.order, out_legs)
     for mono, c in e.terms.items():
         term = DiffPoly.unit(e.group, e.order, out_legs)
-        for var, exp in mono:
-            term = term * (image(var) ** exp)
+        for k, exp in enumerate(mono):
+            if exp:
+                term = term * (image(divmod(k, n)) ** exp)
         result = result + term.scale(c)
     return result
 
@@ -291,16 +258,16 @@ def counit(e: DiffPoly) -> Fraction:
     """Counit into Q."""
     total = Fraction(0)
     for mono, c in e.terms.items():
-        dead = False
-        for (_, j), exp in mono:
-            # eps(y_0) = 1 for gm absorbs any power; everything else kills
-            if not (e.group == GM and j == 0):
-                if exp:
-                    dead = True
-                    break
-        if not dead:
+        # eps(y_0) = 1 for gm absorbs any power; everything else kills
+        if not any(mono if e.group == GA else _higher(e, mono)):
             total += c
     return total
+
+
+def _higher(e: DiffPoly, mono) -> list[int]:
+    """The exponents of y_j with j >= 1, in every leg, of one of e's
+    monomials."""
+    return [exp for k, exp in enumerate(mono) if k % (e.order + 1)]
 
 
 def derive(e: DiffPoly) -> DiffPoly:
@@ -453,11 +420,8 @@ def reduce_mod_derivatives(e: DiffPoly) -> DiffPoly:
     y_j = 0 for every j >= 1, in every leg.  Multiplicative group only."""
     if e.group != GM:
         raise ValueError("reduction is defined for the multiplicative group")
-    out = {}
-    for mono, c in e.terms.items():
-        if all(j == 0 for (_, j), _ in mono):
-            out[mono] = c
-    return DiffPoly(e.group, e.order, e.legs, out)
+    return e._like({mono: c for mono, c in e.terms.items()
+                    if not any(_higher(e, mono))})
 
 
 def subgroup_defining_poly(order: int = 2) -> DiffPoly:
@@ -470,6 +434,5 @@ def subgroup_defining_poly(order: int = 2) -> DiffPoly:
     y1 = DiffPoly.generator(GM, order, 1)
     ratio = y1 * y0.inv()
     d = ratio.derive()
-    shift = max((-min((e for (_, j), e in mono if j == 0), default=0)
-                 for mono in d.terms), default=0)
+    shift = max(-mono[0] for mono in d.terms)
     return d * (y0 ** shift)

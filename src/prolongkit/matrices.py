@@ -115,14 +115,15 @@ def block(rows):
     return out
 
 
-def block_triangular(blocks, weight, zero, scale=scale):
+def block_triangular(blocks, weight, zero):
     """Block lower-triangular matrix whose block (r, c) is
     weight(r, c) * blocks[r - c] for r >= c.
 
     The blocks share one shape, and `zero` (a zero block of that shape)
     fills the strict upper triangle and every block of weight 0.  Each
-    other weight is turned into a RatFunc once and applied with
-    scale(block, w); a weight of 1 reuses the block as it is.
+    other weight is turned into a RatFunc once and multiplies every entry
+    of its block, which may be a RatFunc or anything a RatFunc scales; a
+    weight of 1 reuses the block as it is.
     """
     size = len(blocks)
     grid = []

@@ -1,7 +1,12 @@
 """Exact arithmetic over Q(x, t) with the two commuting derivations d/dx, d/dt.
 
-Three layers live here:
+Four layers live here:
 
+  Sparse    the base of every sparse commutative polynomial in the
+            package: a map from monomials (exponent tuples, multiplied by
+            adding them entry by entry) to nonzero coefficients, with the
+            ring operations on it.  MPoly, solspace's SolExpr and hopf's
+            DiffPoly are its subclasses,
   MPoly     sparse polynomials in x and t over Q; a coefficient is a plain
             int when it is an integer and a Fraction only when it has a
             denominator,
@@ -19,21 +24,112 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import add
 
 # monomial key: (deg_x, deg_t)
 Term = tuple[int, int]
 
-class MPoly:
+
+class Sparse:
+    """Sparse commutative polynomial over a field.
+
+    ``terms`` maps a monomial, a tuple of exponents, to a nonzero
+    coefficient; the empty map is zero.  Instances are treated as immutable.
+    A subclass with invertible elements supplies ``inv``, and one whose
+    elements carry more state than their terms overrides ``_like`` and
+    ``_unit``.
+    """
+
+    __slots__ = ("terms",)
+
+    def _like(self, terms):
+        """An element of self's ring over terms that are already clean."""
+        out = object.__new__(type(self))
+        out.terms = terms
+        return out
+
+    def _unit(self):
+        return type(self).one()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is type(self):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = out.get(key)
+            v = c if v is None else v + c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return self._like(out)
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self + -other
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, c):
+        if not c:
+            return self._like({})
+        return self._like({k: v * c for k, v in self.terms.items()})
+
+    def __mul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        acc = {}
+        B = list(other.terms.items())
+        for m1, c1 in self.terms.items():
+            for m2, c2 in B:
+                key = tuple(map(add, m1, m2))
+                v = acc.get(key)
+                acc[key] = c1 * c2 if v is None else v + c1 * c2
+        return self._like({k: c for k, c in acc.items() if c})
+
+    def __pow__(self, e: int):
+        if e < 0:
+            return self.inv() ** -e
+        result = self._unit()
+        base = self
+        while e:
+            if e & 1:
+                result = result * base
+            base = base * base
+            e >>= 1
+        return result
+
+    def inv(self):
+        raise ValueError("negative power of a polynomial")
+
+
+class MPoly(Sparse):
     """Sparse polynomial in x, t over Q.
 
     ``terms`` maps (deg_x, deg_t) to a nonzero coefficient: a plain int when
     the coefficient is an integer, a Fraction only when it has a
     denominator, so integer polynomials (every RatFunc numerator and
-    denominator) run on machine-level int arithmetic.  The empty map is the
-    zero polynomial.  Instances are treated as immutable.
+    denominator) run on machine-level int arithmetic.  The sum, difference,
+    product and scaling override the base's with loops specialised to
+    these keys and coefficients; the benchmark's tracer finds them by name
+    in MPoly's own class dict, so they stay defined here.
     """
 
-    __slots__ = ("terms",)
+    __slots__ = ()
 
     def __init__(self, terms: dict[Term, int | Fraction] | None = None):
         clean: dict[Term, int | Fraction] = {}
@@ -68,10 +164,6 @@ class MPoly:
         raise ValueError(f"unknown variable {name!r}")
 
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    @property
     def is_constant(self) -> bool:
         t = self.terms
         return not t or (len(t) == 1 and (0, 0) in t)
@@ -81,27 +173,12 @@ class MPoly:
             raise ValueError("not a constant polynomial")
         return Fraction(self.terms.get((0, 0), 0))
 
-    def degree(self, var: str) -> int:
-        """Degree in one variable; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        idx = 0 if var == "x" else 1
-        return max(k[idx] for k in self.terms)
-
     def leading(self) -> tuple[Term, int | Fraction]:
         """Leading key and coefficient under lex order with x > t."""
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         key = max(self.terms)
         return key, self.terms[key]
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, MPoly):
-            return self.terms == other.terms
-        return NotImplemented
 
     def __repr__(self) -> str:
         return f"MPoly({self.terms!r})"
@@ -122,9 +199,6 @@ class MPoly:
             out[key] = out.get(key, 0) - c
         return MPoly(out)
 
-    def __neg__(self) -> MPoly:
-        return _poly({k: -c for k, c in self.terms.items()})
-
     def __mul__(self, other: MPoly) -> MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
@@ -140,18 +214,6 @@ class MPoly:
         if type(c) is not int:
             c = Fraction(c)
         return MPoly({k: v * c for k, v in self.terms.items()})
-
-    def __pow__(self, e: int) -> MPoly:
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = MPoly.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
 
     def deriv(self, var: str) -> MPoly:
         idx = 0 if var == "x" else 1

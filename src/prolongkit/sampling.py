@@ -45,13 +45,6 @@ def random_ratfunc(rng: random.Random, max_deg: int = 2) -> RatFunc:
     return RatFunc(num, den)
 
 
-def random_nonzero_ratfunc(rng: random.Random, max_deg: int = 2) -> RatFunc:
-    while True:
-        f = random_ratfunc(rng, max_deg)
-        if not f.is_zero:
-            return f
-
-
 def random_module(rng: random.Random, n: int, max_deg: int = 2) -> DiffModule:
     """n x n module with polynomial entries of degree <= max_deg."""
     return DiffModule([[random_poly_ratfunc(rng, max_deg) for _ in range(n)]

@@ -10,6 +10,12 @@ commute.  A SolExpr is a finite sum of c * theta^a * lam^b with RatFunc
 coefficients, which is enough to express the fundamental solutions of the
 running example and all of its prolongations, and to check d_x Y = A Y
 exactly, entry by entry.
+
+SolExpr is a ratfield.Sparse over the monomials (a, b).  A RatFunc is a
+scalar on either side of '*', so a RatFunc system matrix multiplies a
+SolExpr matrix directly, and matrices.deriv and matrices.block_triangular
+take SolExpr blocks as they are.  Solution documents go through
+exprparse.evaluate, the evaluator of module documents, with SolExpr leaves.
 """
 
 from __future__ import annotations
@@ -19,15 +25,24 @@ import math
 from . import exprparse
 from . import matrices as mat
 from .diffmod import DiffModule
-from .exprparse import (EvalError, ExprError, ModuleDocError, split_chain,
-                        validate_doc)
-from .ratfield import MPoly, RatFunc
+from .exprparse import ExprError, ModuleDocError, validate_doc
+from .ratfield import MPoly, RatFunc, Sparse
 
 
-class SolExpr:
-    """Sum of monomials theta^a lam^b with rational-function coefficients."""
+class UnrepresentableSolutionError(ValueError):
+    """The expression leaves Q(x,t)[theta, lam] (division or negative power
+    involving theta/lam)."""
 
-    __slots__ = ("terms",)
+
+class SolExpr(Sparse):
+    """Sum of monomials theta^a lam^b with rational-function coefficients.
+
+    Division, and a negative power, take only divisors free of theta and
+    lam; any other leaves the algebra and raises
+    UnrepresentableSolutionError.
+    """
+
+    __slots__ = ()
 
     def __init__(self, terms: dict[tuple[int, int], RatFunc] | None = None):
         clean = {}
@@ -60,10 +75,6 @@ class SolExpr:
     def from_ratfunc(cls, f: RatFunc) -> SolExpr:
         return cls({(0, 0): f})
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def coefficient_only(self) -> RatFunc | None:
         """The underlying RatFunc when no theta/lam appears, else None."""
         if not self.terms:
@@ -72,70 +83,37 @@ class SolExpr:
             return self.terms[(0, 0)]
         return None
 
-    def __eq__(self, other) -> bool:
-        if isinstance(other, SolExpr):
-            return self.terms == other.terms
-        return NotImplemented
-
     def __repr__(self) -> str:
         return f"SolExpr({render_sol(self)!r})"
 
-    def __add__(self, other: SolExpr) -> SolExpr:
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v.is_zero:
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return SolExpr(out)
+    def __mul__(self, other) -> SolExpr:
+        if isinstance(other, RatFunc):
+            return self.scale(other)
+        return Sparse.__mul__(self, other)
 
-    def __sub__(self, other: SolExpr) -> SolExpr:
-        return self + (-other)
+    __rmul__ = __mul__
 
-    def __neg__(self) -> SolExpr:
-        return SolExpr({k: -c for k, c in self.terms.items()})
+    def inv(self) -> SolExpr:
+        f = self.coefficient_only()
+        if f is None:
+            raise UnrepresentableSolutionError(
+                "negative power of a theta/lam expression is outside the term algebra")
+        return SolExpr.from_ratfunc(RatFunc.one() / f)
 
-    def __mul__(self, other: SolExpr) -> SolExpr:
-        out: dict[tuple[int, int], RatFunc] = {}
-        for (a1, b1), c1 in self.terms.items():
-            for (a2, b2), c2 in other.terms.items():
-                key = (a1 + a2, b1 + b2)
-                v = c1 * c2
-                w = out.get(key)
-                w = v if w is None else w + v
-                if w.is_zero:
-                    out.pop(key, None)
-                else:
-                    out[key] = w
-        return SolExpr(out)
-
-    def scale(self, f: RatFunc) -> SolExpr:
-        if f.is_zero:
-            return SolExpr()
-        return SolExpr({k: c * f for k, c in self.terms.items()})
-
-    def __pow__(self, e: int) -> SolExpr:
-        if e < 0:
-            raise ValueError("negative power outside the term algebra")
-        result = SolExpr.one()
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    def __truediv__(self, other: SolExpr) -> SolExpr:
+        f = other.coefficient_only()
+        if f is None:
+            raise UnrepresentableSolutionError(
+                "division by a theta/lam expression is outside the term algebra")
+        return self.scale(RatFunc.one() / f)
 
     def deriv(self, var: str) -> SolExpr:
         out = SolExpr()
         for (a, b), c in self.terms.items():
-            mono = SolExpr({(a, b): RatFunc.one()})
             acc = SolExpr({(a, b): c.deriv(var)})
             if var == "x":
                 if a:
-                    acc = acc + mono.scale(c * (a * _T_OVER_X))
+                    acc = acc + SolExpr({(a, b): c * (a * _T_OVER_X)})
                 if b:
                     acc = acc + SolExpr({(a, b - 1): c * (b * _ONE_OVER_X)})
             else:
@@ -176,10 +154,6 @@ def render_sol(e: SolExpr) -> str:
 
 # matrices of SolExpr ------------------------------------------------------
 
-def sol_matrix_from_coeffs(A) -> list[list[SolExpr]]:
-    return [[SolExpr.from_ratfunc(e) for e in row] for row in A]
-
-
 def sol_mat_mul(A, Y):
     rows = len(A)
     inner = len(A[0])
@@ -190,14 +164,11 @@ def sol_mat_mul(A, Y):
         for j in range(cols):
             acc = SolExpr.zero()
             for k in range(inner):
-                acc = acc + A[i][k] * Y[k][j]
+                # SolExpr on the left: its product takes a RatFunc directly
+                acc = acc + Y[k][j] * A[i][k]
             row.append(acc)
         out.append(row)
     return out
-
-
-def sol_mat_deriv(Y, var: str):
-    return [[e.deriv(var) for e in row] for row in Y]
 
 
 def sol_det(Y) -> SolExpr:
@@ -242,13 +213,9 @@ def _prolong_solution(Y, i: int, weight):
     n = len(Y)
     Ys = [Y]
     for _ in range(i):
-        Ys.append(sol_mat_deriv(Ys[-1], "t"))
+        Ys.append(mat.deriv(Ys[-1], "t"))
     zero = [[SolExpr.zero()] * n for _ in range(n)]
-    return mat.block_triangular(Ys, weight, zero, _sol_mat_scale)
-
-
-def _sol_mat_scale(Y, f: RatFunc):
-    return [[e.scale(f) for e in row] for row in Y]
+    return mat.block_triangular(Ys, weight, zero)
 
 
 class FundamentalCheck:
@@ -279,8 +246,8 @@ def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:
     """
     if len(Y) != M.n or any(len(row) != M.n for row in Y):
         raise ValueError(f"solution matrix must be {M.n}x{M.n}")
-    lhs = sol_mat_deriv(Y, "x")
-    rhs = sol_mat_mul(sol_matrix_from_coeffs(M.A), Y)
+    lhs = mat.deriv(Y, "x")
+    rhs = sol_mat_mul(M.A, Y)
     first = None
     for r in range(M.n):
         for c in range(M.n):
@@ -302,65 +269,23 @@ def xt_example() -> tuple[DiffModule, list[list[SolExpr]]]:
 
 # parsing solution documents -----------------------------------------------
 
-class UnrepresentableSolutionError(ValueError):
-    """The expression leaves Q(x,t)[theta, lam] (division or negative power
-    involving theta/lam)."""
-
-
 SOLUTION_NAMES = ("x", "t", "theta", "lam")
 
 
-def eval_solution(node) -> SolExpr:
-    """Evaluate a parsed expression over the term algebra."""
-    node, ops = split_chain(node)
-    value = _eval_operand(node)
-    for op in ops:
-        b = eval_solution(op.right)
-        if op.op == "+":
-            value = value + b
-        elif op.op == "-":
-            value = value - b
-        elif op.op == "*":
-            value = value * b
-        else:
-            f = b.coefficient_only()
-            if f is None:
-                raise UnrepresentableSolutionError(
-                    "division by a theta/lam expression is outside the term algebra")
-            if f.is_zero:
-                raise EvalError("division by a zero expression", op.pos)
-            value = value.scale(RatFunc.one() / f)
-    return value
-
-
-def _eval_operand(node) -> SolExpr:
-    if isinstance(node, exprparse.IntLit):
+def _solution_leaf(node) -> SolExpr:
+    """An integer literal or one of SOLUTION_NAMES in the term algebra."""
+    if type(node) is exprparse.IntLit:
         return SolExpr.from_ratfunc(RatFunc.from_int(node.value))
-    if isinstance(node, exprparse.Var):
-        if node.name == "theta":
-            return SolExpr.theta()
-        if node.name == "lam":
-            return SolExpr.lam()
-        return SolExpr.from_ratfunc(RatFunc(MPoly.variable(node.name)))
-    if isinstance(node, exprparse.Neg):
-        return -eval_solution(node.operand)
-    if isinstance(node, exprparse.Pow):
-        base = eval_solution(node.base)
-        e = node.exponent
-        if e >= 0:
-            return base ** e
-        f = base.coefficient_only()
-        if f is None:
-            raise UnrepresentableSolutionError(
-                "negative power of a theta/lam expression is outside the term algebra")
-        if f.is_zero:
-            raise EvalError("zero raised to a negative power", node.pos)
-        return SolExpr.from_ratfunc(f ** e)
-    raise TypeError(f"not an expression node: {node!r}")
+    if node.name == "theta":
+        return SolExpr.theta()
+    if node.name == "lam":
+        return SolExpr.lam()
+    return SolExpr.from_ratfunc(RatFunc(MPoly.variable(node.name)))
 
 
 def parse_solution(text: str) -> SolExpr:
-    return eval_solution(exprparse.parse_ast(text, SOLUTION_NAMES))
+    return exprparse.evaluate(exprparse.parse_ast(text, SOLUTION_NAMES),
+                              _solution_leaf)
 
 
 def load_solution(data) -> list[list[SolExpr]]:

@@ -6,8 +6,8 @@ import pytest
 
 from prolongkit.exprparse import (MAX_DEPTH, BinOp, EvalError, ExprError,
                                   IntLit, ModuleDoc, ModuleDocError, Neg,
-                                  ParseError, Pow, Var, load_module, parse_ast,
-                                  parse_expr, render)
+                                  ParseError, Pow, Var, _tokenize, load_module,
+                                  parse_ast, parse_expr, render)
 from prolongkit.ratfield import MPoly, RatFunc
 from prolongkit.sampling import random_ratfunc
 
@@ -212,6 +212,82 @@ def test_long_flat_chains_evaluate():
     assert parse_expr("/".join(["x"] * 300)) == X ** -298
     doc = '{"n": 1, "matrix": [["%s"]]}' % "+".join(["x*t"] * 3000)
     assert load_module(doc).A[0][0] == 3000 * X * T
+
+
+# the tokenizer against the character loop it replaced ---------------------
+
+def reference_tokenize(text: str):
+    """(kind, value, byte_offset) triples; kinds INT, NAME, OP, END."""
+    def is_digit(ch):
+        return "0" <= ch <= "9"
+
+    def is_name_start(ch):
+        return "a" <= ch <= "z" or "A" <= ch <= "Z" or ch == "_"
+
+    tokens = []
+    i = 0
+    n = len(text)
+    byte_pos = 0
+    while i < n:
+        ch = text[i]
+        if ch in " \t\r\n":
+            i += 1
+            byte_pos += len(ch.encode("utf-8"))
+            continue
+        if is_digit(ch):
+            j = i
+            while j < n and is_digit(text[j]):
+                j += 1
+            tokens.append(("INT", text[i:j], byte_pos))
+            byte_pos += j - i
+            i = j
+            continue
+        if is_name_start(ch):
+            j = i
+            while j < n and (is_name_start(text[j]) or is_digit(text[j])):
+                j += 1
+            word = text[i:j]
+            tokens.append(("NAME", word, byte_pos))
+            byte_pos += len(word.encode("utf-8"))
+            i = j
+            continue
+        if ch in "+-*/^()":
+            tokens.append(("OP", ch, byte_pos))
+            i += 1
+            byte_pos += 1
+            continue
+        raise ParseError(f"unexpected character {ch!r}", byte_pos)
+    tokens.append(("END", "", byte_pos))
+    return tokens
+
+
+# ASCII tokens and whitespace, plus look-alikes the tokenizer must reject:
+# a vertical tab, a no-break space, a superscript two, an Arabic-Indic
+# three and an accented letter
+_token_texts = st.tuples(
+    st.text(st.sampled_from(list("0123456789xtaZ_+-*/^() \t\r\n")
+                            + ["\x0b", "\xa0", "\u00b2", "\u0663", "\u00e9"]),
+            max_size=30),
+    st.sampled_from(["", " ", "\n", " \t\r\n"]),
+).map("".join)
+
+
+@hypothesis.given(_token_texts)
+@hypothesis.example("")
+@hypothesis.example("x \n")
+@hypothesis.example("12ab_3+(t)^ ")
+@hypothesis.example("x*\u00e9")
+@hypothesis.example("x\x0b")
+@hypothesis.settings(deadline=None, max_examples=500)
+def test_tokenizer_matches_reference(text):
+    try:
+        want = reference_tokenize(text)
+    except ParseError as e:
+        with pytest.raises(ParseError) as got:
+            _tokenize(text)
+        assert (got.value.message, got.value.offset) == (e.message, e.offset)
+        return
+    assert _tokenize(text) == want
 
 
 # module documents ---------------------------------------------------------

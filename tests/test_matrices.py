@@ -12,8 +12,7 @@ from prolongkit.exprparse import parse_expr
 from prolongkit.ratfield import RatFunc
 from prolongkit.sampling import random_module
 from prolongkit.solspace import (build_fundamental_prolongation,
-                                 parse_solution, sol_mat_deriv,
-                                 unweighted_prolongation)
+                                 parse_solution, unweighted_prolongation)
 
 
 def pmat(rows):
@@ -133,7 +132,7 @@ def _rf_deriv(X):
 
 
 def _sol_deriv(X):
-    return sol_mat_deriv(X, "t")
+    return mat.deriv(X, "t")
 
 
 def _rf_times(e, w):

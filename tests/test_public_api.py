@@ -45,3 +45,18 @@ def test_builders_and_eliminations_live_in_their_modules(module, name):
     assert fn.__name__ == name
     if module != "matrices":
         assert getattr(prolongkit, name) is fn
+
+
+# The benchmark's tracer finds its hot layers by looking each name up in its
+# owner's own __dict__, so an inherited method would read as absent there.
+@pytest.mark.parametrize("qualname", [
+    "MPoly.__add__", "MPoly.__mul__", "MPoly.exact_div", "RatFunc.__init__",
+    "RatFunc.__add__", "RatFunc.__mul__", "RatFunc.deriv",
+    "LinDiffOp.__mul__", "gcd", "_zx_coprime_probe", "_zx_prs_gcd",
+])
+def test_traced_names_are_defined_by_their_owner(qualname):
+    owner = importlib.import_module("prolongkit.ratfield")
+    *path, attr = qualname.split(".")
+    for part in path:
+        owner = vars(owner)[part]
+    assert inspect.isfunction(vars(owner).get(attr)), qualname

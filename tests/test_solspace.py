@@ -3,13 +3,13 @@ import random
 import pytest
 
 from prolongkit.diffmod import DiffModule, dsum, prolong, tensor
-from prolongkit.exprparse import parse_expr
+from prolongkit.exprparse import EvalError, parse_expr
 from prolongkit.ratfield import RatFunc
 from prolongkit.solspace import (SolExpr, UnrepresentableSolutionError,
                                  build_fundamental_prolongation, load_solution,
                                  parse_solution, render_sol, sol_det,
-                                 sol_mat_deriv, unweighted_prolongation,
-                                 verify_fundamental, xt_example)
+                                 unweighted_prolongation, verify_fundamental,
+                                 xt_example)
 
 TH = SolExpr.theta()
 LA = SolExpr.lam()
@@ -159,6 +159,28 @@ def test_parse_solution_rejects_theta_division():
         parse_solution("x/(lam + 1)")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("1/theta",
+     "division by a theta/lam expression is outside the term algebra"),
+    ("theta^-1",
+     "negative power of a theta/lam expression is outside the term algebra"),
+])
+def test_unrepresentable_messages(text, message):
+    with pytest.raises(UnrepresentableSolutionError) as e:
+        parse_solution(text)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("text, message", [
+    ("(theta - theta)^-1", "zero raised to a negative power (byte 15)"),
+    ("x/(lam - lam)", "division by a zero expression (byte 1)"),
+])
+def test_zero_divisors_are_eval_errors(text, message):
+    with pytest.raises(EvalError) as e:
+        parse_solution(text)
+    assert str(e.value) == message
+
+
 def test_load_solution_document():
     doc = b'{"n": 2, "matrix": [["theta", "0"], ["theta*lam", "theta"]]}'
     Y = load_solution(doc)
@@ -169,3 +191,12 @@ def test_load_solution_document():
 def test_sol_render_roundtrip():
     e = TH * LA.scale(T / X) + SolExpr.from_ratfunc(X + T) + (TH ** 2).scale(RatFunc(-3))
     assert parse_solution(render_sol(e)) == e
+
+
+def test_render_sol_of_mixed_element():
+    e = (TH * LA.scale(T / X) + SolExpr.from_ratfunc(X + T)
+         + (TH ** 2).scale(RatFunc(-3)) + (LA ** 2).scale(1 / (X + T))
+         + TH.scale(RatFunc(1) / X))
+    assert render_sol(e) == ("-3*theta^2 + t/x*theta*lam + 1/x*theta"
+                             " + (1/(x + t))*lam^2 + (x + t)")
+    assert render_sol(SolExpr.zero()) == "0"
