@@ -104,12 +104,19 @@ class Sparse:
     def __pow__(self, e: int):
         if e < 0:
             return self.inv() ** -e
-        result = self._unit()
+        if not e:
+            return self._unit()
+        # square only while bits remain, starting from the lowest set bit
         base = self
+        while not e & 1:
+            base = base * base
+            e >>= 1
+        result = base
+        e >>= 1
         while e:
+            base = base * base
             if e & 1:
                 result = result * base
-            base = base * base
             e >>= 1
         return result
 
@@ -265,438 +272,142 @@ def _poly(terms: dict[Term, int | Fraction]) -> MPoly:
     return p
 
 
-def _integral(p: MPoly) -> MPoly:
-    """p scaled by the lcm of its coefficient denominators."""
-    l = math.lcm(*[c.denominator for c in p.terms.values()])
-    return p if l == 1 else p.scale(l)
-
-
 # ---------------------------------------------------------------------------
-# gcd machinery: subresultant PRS in x over Z[t].  Integer polynomials are
-# viewed as coefficient tables {dx: [t-coefficients]} so the inner loops run
-# on plain int lists.
+# gcd: the heuristic gcd of Char, Geddes and Gonnet (JSC 1989).  Evaluating x
+# at an integer xi turns both sides into polynomials in t.  Their exact gcd
+# in Z[t] comes the same way, from an integer gcd at a second point, and
+# each gcd is read back as balanced base-xi digits.  A candidate is kept
+# only when it divides both sides.
+#
+# Why a kept candidate is the gcd.  B(p) = |p|_1 * 2^(deg_x p + deg_t p)
+# bounds every coefficient of every factor of p (Mignotte, Math. Comp.
+# 1974), and xi >= 2 min(B(p), B(q)) + 2.  Say the primitive candidate G
+# divides p and q, so that the gcd is G*h.  The image gcd is c * G(xi),
+# where c, the content of balanced digits, has |c| <= xi/2; the gcd's image
+# divides it, so h(xi) divides c.  But h divides p, so its coefficients are
+# below xi/2: if h is not constant, h(xi) is either of positive degree in t
+# or an integer larger than xi/2.  So h = 1.  The same holds in Z[t].
+#
+# Why the loop ends.  Write p = g*p1 and q = g*q1.  The image gcd is g(xi)
+# times the gcd of the images of p1 and q1, which divides their resultant:
+# that spurious factor is bounded independently of xi, and it is free of t
+# for all but finitely many xi.  Once xi exceeds twice the spurious factor
+# times the height of g, the digits spell a multiple of g, and the check
+# passes.  So there is no retry cap and no fallback route.
 
-def _table(p: MPoly) -> dict[int, list[int]]:
-    """Z[t]-coefficient table of p cleared of coefficient denominators."""
-    out: dict[int, list[int]] = {}
-    for (dx, dt), c in p.terms.items():
-        if type(c) is not int:
-            return _table(_integral(p))
-        u = out.get(dx)
-        if u is None:
-            out[dx] = u = [0] * (dt + 1)
-        elif len(u) <= dt:
-            u.extend([0] * (dt + 1 - len(u)))
-        u[dt] = c
+def _bound(coeffs, degree: int) -> int:
+    """2 B + 2 for B the factor-height bound |coeffs|_1 * 2^degree."""
+    return (sum(map(abs, coeffs)) << (degree + 1)) + 2
+
+
+def _digits(v: int, xi: int) -> list[int]:
+    """Balanced base-xi digits of v, lowest first."""
+    out = []
+    half = xi >> 1
+    while v:
+        v, d = divmod(v, xi)
+        if d > half:
+            d -= xi
+            v += 1
+        out.append(d)
     return out
 
 
-def _z_trim(u: list[int]) -> list[int]:
-    while u and not u[-1]:
-        u.pop()
-    return u
-
-
-def _z_sub(a, b):
-    if len(a) < len(b):
-        out = list(b)
-        for k in range(len(out)):
-            out[k] = -out[k]
-        for k, v in enumerate(a):
-            out[k] += v
-    else:
-        out = list(a)
-        for k, v in enumerate(b):
-            out[k] -= v
-    return _z_trim(out)
-
-
-def _z_scale(u, c: int):
-    return [v * c for v in u]
-
-
-def _z_mul(a, b):
-    la, lb = len(a), len(b)
-    if not la or not lb:
-        return []
-    if la == 1:
-        return _z_trim(_z_scale(b, a[0]))
-    if lb == 1:
-        return _z_trim(_z_scale(a, b[0]))
-    if la * lb <= 24:
-        out = [0] * (la + lb - 1)
-        for i, v in enumerate(a):
-            if v:
-                for j, w in enumerate(b):
-                    out[i + j] += v * w
-        return _z_trim(out)
-    # Kronecker substitution: pack both factors into single big ints, do one
-    # machine-level multiply and read the product back off in balanced base
-    # 2^k digits
-    ma = max(abs(v) for v in a)
-    mb = max(abs(v) for v in b)
-    k = (ma * mb * min(la, lb)).bit_length() + 2
-    A = 0
-    for v in reversed(a):
-        A = (A << k) + v
-    B = 0
-    for v in reversed(b):
-        B = (B << k) + v
-    C = A * B
-    n = la + lb - 1
-    mask = (1 << k) - 1
-    half = 1 << (k - 1)
-    out = [0] * n
-    for i in range(n):
-        d = C & mask
-        C >>= k
-        if d >= half:
-            d -= mask + 1
-            C += 1
-        out[i] = d
-    return _z_trim(out)
-
-
-def _z_primitive(u):
-    g = math.gcd(*u)
-    if g <= 1:
-        return u, 1
-    return [v // g for v in u], g
-
-
-def _z_prem(a, b):
-    """Pseudo-remainder of a by b: a is scaled freely by lc(b), which keeps
-    every intermediate value an integer."""
-    db = len(b) - 1
-    lcb = b[-1]
+def _divides_zt(a: list[int], g: list[int]) -> bool:
+    """Whether g divides a in Z[t]; stops at the first leading coefficient
+    that does not divide."""
     r = list(a)
-    while len(r) > db:
-        lt = r.pop()
-        if not lt:
-            continue
-        if lcb != 1:
-            for k in range(len(r)):
-                r[k] *= lcb
-        shift = len(r) - db
-        for k in range(db):
-            r[shift + k] -= lt * b[k]
-    return _z_trim(r)
+    dg = len(g) - 1
+    lc = g[-1]
+    for top in range(len(r) - 1, dg - 1, -1):
+        c, m = divmod(r[top], lc)
+        if m:
+            return False
+        if c:
+            s = top - dg
+            for k in range(dg):
+                r[s + k] -= c * g[k]
+    return not any(r[:dg])
 
 
-def _z_gcd(a, b):
-    """Gcd in Z[t] up to sign, integer content included; [] only for
-    gcd(0, 0)."""
-    if not a or a == b:
-        return b
-    if not b:
-        return a
-    if not a[0] or not b[0]:
-        # t is prime, so the power of t splits off: gcd(t^i a', t^j b') =
-        # t^min(i, j) gcd(a', b') when t divides neither a' nor b'
-        i = j = 0
-        while not a[i]:
-            i += 1
-        while not b[j]:
-            j += 1
-        return [0] * min(i, j) + _z_gcd(a[i:], b[j:])
+def _gcd_zt(a: list[int], b: list[int]) -> list[int]:
+    """Gcd in Z[t] of two nonzero dense coefficient lists, lowest first,
+    integer content included, up to sign."""
     if len(a) == 1 or len(b) == 1:
         return [math.gcd(*a, *b)]
-    a, ca = _z_primitive(a)
-    b, cb = _z_primitive(b)
-    c = math.gcd(ca, cb)
-    while b:
-        if len(a) < len(b):
-            a, b = b, a
-        a, b = b, _z_primitive(_z_prem(a, b))[0]
-    if c != 1:
-        a = [v * c for v in a]
-    return a
+    xi = min(_bound(a, len(a) - 1), _bound(b, len(b) - 1))
+    while True:
+        va = vb = 0
+        for v in reversed(a):
+            va = va * xi + v
+        for v in reversed(b):
+            vb = vb * xi + v
+        g = _digits(math.gcd(va, vb), xi)
+        k = math.gcd(*g)
+        if k != 1:
+            g = [v // k for v in g]
+        if _divides_zt(a, g) and _divides_zt(b, g):
+            c = math.gcd(*a, *b)
+            return g if c == 1 else [v * c for v in g]
+        xi = 2 * xi + 1
 
 
-def _z_exact_div(u, g):
-    if len(g) == 1:
-        c = g[0]
-        for v in u:
-            if v % c:
-                raise ValueError("univariate division is not exact")
-        return [v // c for v in u]
-    dg = len(g) - 1
-    lcg = g[-1]
-    q = [0] * max(len(u) - dg, 0)
-    r = list(u)
-    r = _z_trim(r)
-    while r:
-        dr = len(r) - 1
-        if dr < dg or r[-1] % lcg:
-            raise ValueError("univariate division is not exact")
-        c = r[-1] // lcg
-        q[dr - dg] = c
-        r.pop()
-        shift = dr - dg
-        for k in range(dg):
-            r[shift + k] -= c * g[k]
-        r = _z_trim(r)
-    return q
-
-
-def _z_pow(u, e: int):
-    out = [1]
-    for _ in range(e):
-        out = _z_mul(out, u)
+def _eval_x(P: dict[Term, int], xi: int) -> list[int]:
+    """The dense coefficient list in t of P at x = xi."""
+    powers = [1]
+    for _ in range(max(P)[0]):
+        powers.append(powers[-1] * xi)
+    out = [0] * (max(j for _, j in P) + 1)
+    for (i, j), c in P.items():
+        out[j] += c * powers[i]
     return out
 
 
-def _zx_content(xv):
-    g: list[int] = []
-    for u in xv.values():
-        g = _z_gcd(g, u)
-        if g == [1]:
-            return [1]
-    return g
-
-
-def _zx_div_content(xv, g):
-    if g == [1]:
-        return xv
-    return {dx: _z_exact_div(u, g) for dx, u in xv.items()}
-
-
-def _zx_prem(a, b):
-    """Standard pseudo-remainder lc(b)^(deg a - deg b + 1) * a mod b in x
-    over Z[t]; the exact scaling power matters for the subresultant chain,
-    so skipped reduction steps are compensated at the end."""
-    da = max(a)
-    db = max(b)
-    lcb = b[db]
-    steps = 0
-    r = a
-    while r and max(r) >= db:
-        steps += 1
-        dr = max(r)
-        lt = r[dr]
-        shift = dr - db
-        new: dict[int, list[int]] = {}
-        for k, u in r.items():
-            if k != dr:
-                new[k] = _z_mul(u, lcb)
-        for k, u in b.items():
-            if k == db:
-                continue
-            kk = k + shift
-            v = _z_sub(new.get(kk, []), _z_mul(u, lt))
-            if v:
-                new[kk] = v
-            else:
-                new.pop(kk, None)
-        r = new
-    if r and steps < da - db + 1:
-        f = _z_pow(lcb, da - db + 1 - steps)
-        r = {k: _z_mul(u, f) for k, u in r.items()}
-    return r
-
-
-def _zx_prs_gcd(a, b):
-    """Gcd of the primitive parts via the subresultant chain: dividing each
-    remainder by g * h^delta bounds the growth without any content gcds
-    along the way.  gcd's one full route, taken when neither the
-    divisibility test nor the coprime probe settles the pair."""
-    g = h = [1]
-    while b:
-        delta = max(a) - max(b)
-        r = _zx_prem(a, b)
-        if r:
-            beta = _z_mul(g, _z_pow(h, delta))
-            if beta != [1]:
-                r = {dx: _z_exact_div(u, beta) for dx, u in r.items()}
-        g = b[max(b)]
-        if delta == 1:
-            h = g
-        elif delta > 1:
-            h = _z_exact_div(_z_pow(g, delta), _z_pow(h, delta - 1))
-        a, b = b, r
-    return _zx_div_content(a, _zx_content(a))
-
-
-def _zx_divides(a, g):
-    """Whether g divides a in x over Z[t].  For a primitive g the quotient
-    of an exact division is integral, so a failed coefficient division
-    means "no"."""
-    r = dict(a)
-    dg = max(g)
-    lcg = g[dg]
-    while r:
-        dr = max(r)
-        if dr < dg:
-            return False
-        try:
-            q = _z_exact_div(r.pop(dr), lcg)
-        except ValueError:
-            return False
-        for k, u in g.items():
-            if k == dg:
-                continue
-            kk = k + dr - dg
-            v = _z_sub(r.get(kk, []), _z_mul(u, q))
-            if v:
-                r[kk] = v
-            else:
-                r.pop(kk, None)
-    return True
-
-
-def _eval_list(u, t0: int, p: int) -> int:
-    acc = 0
-    for c in reversed(u):
-        acc = (acc * t0 + c) % p
-    return acc
-
-
-def _mod_eval_rows(xv, t0: int, p: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for dx, u in xv.items():
-        acc = _eval_list(u, t0, p)
-        if acc:
-            out[dx] = acc
-    return out
-
-
-def _dense(d: dict[int, int], n: int) -> list[int]:
-    return [d.get(k, 0) for k in range(n + 1)]
-
-
-_P61 = (1 << 61) - 1
-
-
-def _mod_gcd_degree(A, B, p) -> int:
-    """Degree of gcd(A, B) over F_p, computed with a scaled remainder chain
-    so no modular inverses are needed."""
-    while B:
-        db = len(B) - 1
-        lcb = B[-1]
-        R = list(A)
-        while len(R) - 1 >= db:
-            lcr = R.pop()
-            if not lcr:
-                continue
-            shift = len(R) - db
-            for k in range(db):
-                R[shift + k] = (R[shift + k] * lcb - lcr * B[k]) % p
-            for k in range(shift):
-                R[k] = R[k] * lcb % p
-        while R and not R[-1]:
-            R.pop()
-        A, B = B, R
-    return len(A) - 1
-
-
-def _zx_coprime_probe(a, b) -> bool:
-    """True when a modular evaluation proves the primitive parts coprime.
-
-    Evaluating t at a point that keeps both leading rows nonzero can only
-    raise the x-degree of the gcd image, so a degree-0 image certifies
-    gcd = 1.  A coprime pair has an image of positive degree only at roots
-    of its resultant, so such a point gives way to the next one.  Runs over
-    a word-size prime so the common coprime case stays cheap; False means
-    inconclusive, never "not coprime".
-    """
-    p = _P61
-    da, db = max(a), max(b)
-    for t0 in (2, 3, 7):
-        Ae = _mod_eval_rows(a, t0, p)
-        Be = _mod_eval_rows(b, t0, p)
-        if Ae.get(da) is None or Be.get(db) is None:
-            continue
-        if _mod_gcd_degree(_dense(Ae, da), _dense(Be, db), p) == 0:
-            return True
-    return False
-
-
-def _canon_poly(p: MPoly) -> MPoly:
-    """Integer-primitive scaling with positive leading coefficient (lex
-    order with x > t): the canonical generator over Q of the ideal (p)."""
-    p = _integral(p)
-    g = math.gcd(*p.terms.values())
-    if p.terms[max(p.terms)] < 0:
-        g = -g
-    if g == 1:
-        return p
-    return _poly({k: c // g for k, c in p.terms.items()})
-
-
-def gcd(p: MPoly, q: MPoly) -> MPoly:
-    """Canonical gcd in Q[x, t]: integer-primitive with positive leading
-    coefficient under lex order x > t."""
-    if p.is_zero:
-        return MPoly.one() if q.is_zero else _canon_poly(q)
-    if q.is_zero:
-        return _canon_poly(p)
+def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
+    """(g, p / g, q / g) for the integer polynomials p and q, where g is
+    their canonical gcd in Q[x, t]: integer-primitive with positive leading
+    coefficient under lex order x > t.  Both cofactors are integral."""
+    P, Q = p.terms, q.terms
+    if not P or not Q:
+        r = p if P else q
+        if not r.terms:
+            return _MP_ONE, p, q
+        c = math.gcd(*r.terms.values())
+        if r.terms[max(r.terms)] < 0:
+            c = -c
+        g = _poly({k: v // c for k, v in r.terms.items()})
+        c = MPoly.const(c)
+        return g, (c if P else p), (c if Q else q)
     if p.is_constant or q.is_constant:
-        return _MP_ONE
-    a, b = _table(p), _table(q)
-    if max(a) < max(b):
-        a, b = b, a
-    # gcd = gcd(content(a), content(b)) * gcd(pp(a), pp(b)), contents in Z[t]
-    cb = _zx_content(b)
-    d = cb
-    for u in a.values():
-        if len(d) == 1:
-            break
-        d = _z_gcd(d, u)
-    # the primitive part of b is 1 when b is free of x.  One of x-degree 1
-    # is irreducible, so it either divides a or is coprime to it.  Above
-    # that, the coprime probe settles most pairs, and the subresultant PRS
-    # runs only when the probe is inconclusive
-    g = None
-    if max(b) > 0:
-        b = _zx_div_content(b, cb)
-        if _zx_divides(a, b):
-            g = b
-        elif max(b) > 1 and not _zx_coprime_probe(a, b):
-            g = _zx_prs_gcd(_zx_div_content(a, _zx_content(a)), b)
-    if g is None:
-        if len(d) == 1:
-            # an integer content is stripped by the canonical scaling
-            return _MP_ONE
-        g = {0: [1]}
-    return _canon_poly(_poly({(dx, dt): c
-                              for dx, u in g.items()
-                              for dt, c in enumerate(_z_mul(u, d)) if c}))
-
-
-def _split_gcd(d1: MPoly, d2: MPoly) -> tuple[MPoly, MPoly, MPoly]:
-    """(g, d1 / g, d2 / g) for g a gcd over Q of the integer polynomials
-    d1 and d2, with both cofactors integral.
-
-    In most sums one denominator divides the other, so one trial division
-    of the larger by the primitive part of the smaller comes before the
-    full gcd.  When it is exact, that primitive part is a gcd, the quotient
-    is integral by Gauss's lemma and is one cofactor, and the smaller one's
-    integer content is the other.  The trial can only succeed when the
-    smaller one's leading monomial divides the larger one's."""
-    if d1.terms == d2.terms:
-        return d1, _MP_ONE, _MP_ONE
-    (x1, t1), (x2, t2) = max(d1.terms), max(d2.terms)
-    if x1 <= x2 and t1 <= t2:
-        small, large = d1, d2
-    elif x2 <= x1 and t2 <= t1:
-        small, large = d2, d1
-    else:
-        small = None
-    if small is not None:
-        c = math.gcd(*small.terms.values())
-        p = small if c == 1 else _poly({k: v // c
-                                        for k, v in small.terms.items()})
+        return _MP_ONE, p, q
+    if len(P) == 1 or len(Q) == 1:
+        i = min(min(P)[0], min(Q)[0])
+        j = min(j for _, j in (*P, *Q))
+        if not i and not j:
+            return _MP_ONE, p, q
+        return (_poly({(i, j): 1}),
+                _poly({(a - i, b - j): c for (a, b), c in P.items()}),
+                _poly({(a - i, b - j): c for (a, b), c in Q.items()}))
+    xi = min(_bound(P.values(), max(P)[0] + max(j for _, j in P)),
+             _bound(Q.values(), max(Q)[0] + max(j for _, j in Q)))
+    while True:
+        terms = {}
+        for j, v in enumerate(_gcd_zt(_eval_x(P, xi), _eval_x(Q, xi))):
+            for i, d in enumerate(_digits(v, xi)):
+                if d:
+                    terms[(i, j)] = d
+        c = math.gcd(*terms.values())
+        if terms[max(terms)] < 0:
+            c = -c
+        if c != 1:
+            terms = {k: v // c for k, v in terms.items()}
+        if terms == _ONE_TERMS:
+            return _MP_ONE, p, q
+        g = _poly(terms)
         try:
-            q = large.exact_div(p)
+            return g, p.exact_div(g), q.exact_div(g)
         except ValueError:
-            pass
-        else:
-            c = MPoly.const(c)
-            return (p, c, q) if small is d1 else (p, q, c)
-    g = gcd(d1, d2)
-    if g.terms == _ONE_TERMS:
-        return g, d1, d2
-    return g, d1.exact_div(g), d2.exact_div(g)
+            xi = 2 * xi + 1
 
 # ---------------------------------------------------------------------------
 
@@ -733,10 +444,7 @@ class RatFunc:
             if l != 1:
                 num, den = num.scale(l), den.scale(l)
             if den.terms != _ONE_TERMS:
-                g = gcd(num, den)
-                if g.terms != _ONE_TERMS:
-                    num = num.exact_div(g)
-                    den = den.exact_div(g)
+                _, num, den = gcd(num, den)
         # canonical scaling: strip the common integer content and make the
         # denominator's leading coefficient positive
         ig = math.gcd(*den.terms.values())
@@ -817,21 +525,18 @@ class RatFunc:
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
         if d1.terms == _ONE_TERMS and d2.terms == _ONE_TERMS:
-            return RatFunc(n1 + n2)
+            return RatFunc(n1 + n2, _reduce=False)
         # with reduced inputs the sum over the lcm denominator can only
         # share factors with g = gcd(d1, d2), so one small gcd suffices
-        g, d1r, d2r = _split_gcd(d1, d2)
+        g, d1r, d2r = gcd(d1, d2)
         if g.terms == _ONE_TERMS:
             return RatFunc(n1 * d2 + n2 * d1, d1 * d2, _reduce=False)
         num = n1 * d2r + n2 * d1r
         if num.is_zero:
             return _RF_ZERO
-        den = d1 * d2r
-        h = gcd(num, g)
-        if h.terms != _ONE_TERMS:
-            num = num.exact_div(h)
-            den = den.exact_div(h)
-        return RatFunc(num, den, _reduce=False)
+        # the lcm denominator is g * d1r * d2r, and only g can cancel
+        _, num, gr = gcd(num, g)
+        return RatFunc(num, gr * d1r * d2r, _reduce=False)
 
     __radd__ = __add__
 
@@ -864,15 +569,9 @@ class RatFunc:
         # cross-cancel: reduced inputs leave the cross pairs as the only
         # possible common factors, so the product below is already reduced
         if d2.terms != _ONE_TERMS:
-            g1 = gcd(n1, d2)
-            if g1.terms != _ONE_TERMS:
-                n1 = n1.exact_div(g1)
-                d2 = d2.exact_div(g1)
+            _, n1, d2 = gcd(n1, d2)
         if d1.terms != _ONE_TERMS:
-            g2 = gcd(n2, d1)
-            if g2.terms != _ONE_TERMS:
-                n2 = n2.exact_div(g2)
-                d1 = d1.exact_div(g2)
+            _, n2, d1 = gcd(n2, d1)
         return RatFunc(n1 * n2, d1 * d2, _reduce=False)
 
     __rmul__ = __mul__
@@ -906,21 +605,24 @@ class RatFunc:
         if var not in ("x", "t"):
             raise ValueError(f"unknown derivation {var!r}")
         if self.den.terms == _ONE_TERMS:
-            return RatFunc(self.num.deriv(var))
+            return RatFunc(self.num.deriv(var), _reduce=False)
         n, d = self.num, self.den
         dd = d.deriv(var)
         if dd.is_zero:
-            return RatFunc(n.deriv(var), d)
-        g = gcd(d, dd)
+            # d is free of var, so only its factors can cancel against n'
+            _, nd, e = gcd(n.deriv(var), d)
+            return RatFunc(nd, e, _reduce=False)
+        g, e, w = gcd(d, dd)
         if g.terms == _ONE_TERMS:
             # squarefree-in-var denominator: the quotient rule output is
             # already in lowest terms
             return RatFunc(n.deriv(var) * d - n * dd, d * d, _reduce=False)
-        # peel the repeated part: same value with both degrees deflated by
-        # deg g, though a final reduction is still required
-        e = d.exact_div(g)
-        w = dd.exact_div(g)
-        return RatFunc(n.deriv(var) * e - n * w, d * e)
+        # peel the repeated part: f' = (n'e - n w) / (d e).  A factor of d
+        # that depends on var and divides it m times divides d e m + 1
+        # times but divides n'e - n w not at all, since it divides e once
+        # and n w not at all; so only factors of g can cancel
+        _, num, gr = gcd(n.deriv(var) * e - n * w, g)
+        return RatFunc(num, gr * e * e, _reduce=False)
 
 
 _MP_ZERO = MPoly.zero()

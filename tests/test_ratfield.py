@@ -6,9 +6,10 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from prolongkit.ratfield import (LinDiffOp, MPoly, RatFunc, _table,
-                                 _zx_coprime_probe, gcd)
+from prolongkit.hopf import GM, DiffPoly
+from prolongkit.ratfield import LinDiffOp, MPoly, RatFunc, gcd
 from prolongkit.sampling import random_operator, random_ratfunc
+from prolongkit.solspace import SolExpr
 
 X = RatFunc.var_x()
 T = RatFunc.var_t()
@@ -33,12 +34,12 @@ def test_gcd_cancellation():
 
 def test_gcd_is_primitive_with_positive_lead():
     x, t = MPoly.variable("x"), MPoly.variable("t")
-    g = gcd((x + t) * (x + t).scale(3), (x + t) * x.scale(2))
-    assert g == x + t
-    # integer content is stripped (primitive representative, positive lead);
-    # shared integer factors are RatFunc's job, not gcd's
-    g2 = gcd((x + t).scale(-6), (x + t).scale(-4))
-    assert g2 == x + t
+    g, a, b = gcd((x + t) * (x + t).scale(3), (x + t) * x.scale(2))
+    assert (g, a, b) == (x + t, (x + t).scale(3), x.scale(2))
+    # integer content is stripped (primitive representative, positive lead)
+    # and left in the cofactors; shared integer factors are RatFunc's job
+    g2, a2, b2 = gcd((x + t).scale(-6), (x + t).scale(-4))
+    assert (g2, a2, b2) == (x + t, MPoly.const(-6), MPoly.const(-4))
 
 
 def test_canonical_primitive_denominator():
@@ -300,7 +301,7 @@ def assert_canonical(f):
     assert all(type(c) is int for c in values)
     assert math.gcd(*values) == 1
     assert f.den.leading()[1] > 0
-    assert gcd(f.num, f.den) == MPoly.one()
+    assert gcd(f.num, f.den)[0] == MPoly.one()
 
 
 def reduced_sum(a, b):
@@ -346,8 +347,7 @@ def test_sum_fixed_cases(a, b, want):
 
 
 # dense inputs: p*r and q*r hold at least 24 Z[t] coefficients, and r makes
-# their gcd nontrivial, so the coprime probe is inconclusive and, unless one
-# divides the other, the subresultant PRS does the work
+# their gcd nontrivial
 
 def _dense_poly(dx, dt):
     corner = st.integers(-4, 4).filter(bool)
@@ -379,17 +379,77 @@ def _divides(d, f):
 def test_gcd_of_dense_products(p, q, r):
     a, b = p * r, q * r
     hypothesis.assume(_zt_coefficients(a) + _zt_coefficients(b) >= 24)
-    g = gcd(a, b)
+    g, ca, cb = gcd(a, b)
     assert _divides(r, g)
-    assert _divides(g, a) and _divides(g, b)
-    assert gcd(a.exact_div(g), b.exact_div(g)) == MPoly.one()
+    assert g * ca == a and g * cb == b
+    assert gcd(ca, cb)[0] == MPoly.one()
 
 
-def test_coprime_probe_looks_past_a_root_of_the_resultant():
-    # a and b are coprime, but at t = 2, the probe's first point, both
-    # images are divisible by x
+def test_gcd_of_a_coprime_pair_whose_images_share_a_root():
+    # a and b are coprime, but at t = 2 both images are divisible by x
     x, t = MPoly.variable("x"), MPoly.variable("t")
     a = x * x + t - MPoly.const(2)
     b = x * x + x + t - MPoly.const(2)
-    assert _zx_coprime_probe(_table(a), _table(b))
-    assert gcd(a, b) == MPoly.one()
+    assert gcd(a, b) == (MPoly.one(), a, b)
+
+
+# derivatives: the reduction against gcd(d, d') only ----------------------
+
+def _quotient_rule(f, var):
+    n, d = f.num, f.den
+    return RatFunc(n.deriv(var) * d - n * d.deriv(var), d * d)
+
+
+_repeated_dens = [(_x + _t) ** 2 * _t ** 3,
+                  (_x * _x + _t) ** 2 * (_t + MPoly.one()),
+                  _t ** 3, (_x + MPoly.one()) ** 2, (_x - _t).scale(3) * _x ** 2]
+
+
+@hypothesis.given(nonzero_int_mpolys, st.sampled_from(_repeated_dens),
+                  st.sampled_from("xt"))
+@hypothesis.settings(deadline=None, max_examples=200)
+def test_deriv_matches_full_reduction(n, d, var):
+    # denominators with repeated factors, some free of var and some not
+    f = RatFunc(n, d)
+    df = f.deriv(var)
+    assert df == _quotient_rule(f, var)
+    assert_canonical(df)
+
+
+# powers: square only while bits remain ------------------------------------
+
+def test_power_makes_one_product_per_squaring_and_set_bit(monkeypatch):
+    calls = []
+    mul = MPoly.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return mul(self, other)
+
+    monkeypatch.setattr(MPoly, "__mul__", counted)
+    p = _x + _t + MPoly.one()
+    for base, e, want in ((_x, 2, 1), (p, 32, 5), (p, 3, 2), (p, 1, 0),
+                          (p, 0, 0), (p, 7, 4)):
+        calls.clear()
+        base ** e
+        assert len(calls) == want, (e, len(calls))
+
+
+def _repeated(unit, base, e):
+    out = unit
+    for _ in range(e):
+        out = out * base
+    return out
+
+
+def test_power_matches_repeated_products():
+    p = _x - _t.scale(2) + MPoly.one()
+    s = SolExpr.theta() + SolExpr.lam() * RatFunc.var_x()
+    y0 = DiffPoly.generator(GM, 2, 0)
+    y = y0 + DiffPoly.generator(GM, 2, 1).scale(3)
+    for e in range(41):
+        assert p ** e == _repeated(MPoly.one(), p, e)
+        assert s ** e == _repeated(SolExpr.one(), s, e)
+        assert y ** e == _repeated(DiffPoly.unit(GM, 2), y, e)
+        # gm's order-0 variable is invertible, so negative powers exist
+        assert y0 ** -e == _repeated(DiffPoly.unit(GM, 2), y0.inv(), e)
