@@ -18,7 +18,7 @@ which is what is_morphism checks.  Three prolongation shapes appear:
 The two order-i shapes are conjugate by the constant upper-triangular matrix
 of change_basis_matrix, and the order-2 one-step shape embeds into the
 twice-iterated shape through the constant map of embedding_E.  Every
-block-triangular shape, here and in solspace, is matrices.block_triangular.
+prolongation, here and in solspace, is built by matrices.prolongation.
 """
 
 from __future__ import annotations
@@ -91,23 +91,13 @@ def is_morphism(P, src: DiffModule, dst: DiffModule) -> bool:
 
 # prolongation shapes ------------------------------------------------------
 
-def _t_derivatives(A, i: int):
-    out = [A]
-    for _ in range(i):
-        out.append(mat.deriv(out[-1], "t"))
-    return out
-
-
 def prolong(M: DiffModule, i: int) -> DiffModule:
     """Order-i prolongation with binomial weights.
 
     Block (r, c) of the (i+1)n x (i+1)n result is C(r, c) * d_t^(r-c) A;
     i = 0 returns a copy of M's matrix.
     """
-    if i < 0:
-        raise ValueError("prolongation order must be >= 0")
-    return DiffModule(mat.block_triangular(
-        _t_derivatives(M.A, i), math.comb, mat.zeros(M.n, M.n)))
+    return DiffModule(mat.prolongation(M.A, i, math.comb))
 
 
 def prolong_lemma(M: DiffModule, i: int) -> DiffModule:
@@ -116,11 +106,8 @@ def prolong_lemma(M: DiffModule, i: int) -> DiffModule:
     Block (r, c) is C(i-c, r-c) * d_t^(r-c) A, so the first column carries
     C(i, 1) A_t, C(i, 2) A_tt, ...
     """
-    if i < 0:
-        raise ValueError("prolongation order must be >= 0")
-    return DiffModule(mat.block_triangular(
-        _t_derivatives(M.A, i), lambda r, c: math.comb(i - c, r - c),
-        mat.zeros(M.n, M.n)))
+    return DiffModule(mat.prolongation(
+        M.A, i, lambda r, c: math.comb(i - c, r - c)))
 
 
 def change_basis_matrix(n: int, i: int):
@@ -132,9 +119,10 @@ def change_basis_matrix(n: int, i: int):
     """
     if n < 1 or i < 0:
         raise ValueError("need n >= 1 and i >= 0")
-    return mat.transpose(mat.block_triangular(
-        [mat.identity(n)] * (i + 1), lambda q, p: math.comb(i - q + p, p),
-        mat.zeros(n, n)))
+    z = RatFunc.zero()
+    W = [[RatFunc.from_int(math.comb(i - q + p, p)) if p <= q else z
+          for q in range(i + 1)] for p in range(i + 1)]
+    return mat.kron(W, mat.identity(n))
 
 
 def conjugate_constant(M: DiffModule, C) -> DiffModule:
@@ -154,14 +142,12 @@ def conjugate_constant(M: DiffModule, C) -> DiffModule:
 
 
 def iterate_F(M: DiffModule, k: int) -> DiffModule:
-    """k-fold first prolongation: B -> [[B, 0], [B_t, B]], dimension 2^k n."""
+    """k-fold prolong(., 1): B -> [[B, 0], [B_t, B]], dimension 2^k n."""
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    B = M.A
     for _ in range(k):
-        n = len(B)
-        B = mat.block([[B, mat.zeros(n, n)], [mat.deriv(B, "t"), B]])
-    return DiffModule(B)
+        M = prolong(M, 1)
+    return DiffModule(M.A)
 
 
 def embedding_E(M: DiffModule) -> ModuleMorphism:
@@ -275,8 +261,5 @@ def dual_swap_g(M: DiffModule) -> ModuleMorphism:
 def prolong_morphism(phi: ModuleMorphism, i: int) -> ModuleMorphism:
     """Functorial order-i prolongation of a morphism: block (r, c) is
     C(r, c) * d_t^(r-c) P, a morphism prolong(src, i) -> prolong(dst, i)."""
-    if i < 0:
-        raise ValueError("prolongation order must be >= 0")
-    P = mat.block_triangular(_t_derivatives(phi.P, i), math.comb,
-                             mat.zeros(phi.dst.n, phi.src.n))
+    P = mat.prolongation(phi.P, i, math.comb)
     return ModuleMorphism(prolong(phi.src, i), prolong(phi.dst, i), P)

@@ -418,6 +418,24 @@ def validate_doc(data) -> tuple[int, list[list[str]], str | None]:
     return n, matrix, name
 
 
+def parse_entries(entries, parse, errors):
+    """Map each entry string of a document's matrix through parse.
+
+    An exception of the type or types errors, which parse raises for a bad
+    entry, becomes a ModuleDocError that names the entry."""
+    rows = []
+    for r, row in enumerate(entries):
+        out = []
+        for c, entry in enumerate(row):
+            try:
+                out.append(parse(entry))
+            except errors as e:
+                raise ModuleDocError(f"entry ({r},{c}): {e}",
+                                     row=r, col=c) from e
+        rows.append(out)
+    return rows
+
+
 @dataclass(frozen=True)
 class ModuleDoc:
     """Validated but unevaluated module document."""
@@ -432,18 +450,8 @@ class ModuleDoc:
         return cls(n, tuple(tuple(row) for row in matrix), name)
 
     def to_module(self) -> DiffModule:
-        rows = []
-        for r, row in enumerate(self.entries):
-            out = []
-            for c, entry in enumerate(row):
-                try:
-                    out.append(parse_expr(entry))
-                except ExprError as e:
-                    raise ModuleDocError(
-                        f"entry ({r},{c}): {e.message} (byte {e.offset})",
-                        row=r, col=c) from e
-            rows.append(out)
-        return DiffModule(rows, name=self.name)
+        return DiffModule(parse_entries(self.entries, parse_expr, ExprError),
+                          name=self.name)
 
 
 def load_module(data) -> DiffModule:

@@ -186,16 +186,18 @@ class DiffPoly(Sparse):
 
 # structure maps -----------------------------------------------------------
 
-def _substitute(e: DiffPoly, image, out_legs: int) -> DiffPoly:
-    """Algebra homomorphism: image(leg, j) gives the target of each
-    generator; images of Laurent variables must be invertible monomials."""
-    n = e.order + 1
+def _substitute(e: DiffPoly, images, out_legs: int) -> DiffPoly:
+    """Algebra homomorphism sending y_j of leg l to images[l][j], given one
+    list of order + 1 images per leg of e; images of Laurent variables
+    must be invertible monomials."""
+    # a monomial's exponent k is that of y_j in leg l = k // (order + 1)
+    flat = [y for leg in images for y in leg]
     result = DiffPoly.zero(e.group, e.order, out_legs)
     for mono, c in e.terms.items():
         term = DiffPoly.unit(e.group, e.order, out_legs)
         for k, exp in enumerate(mono):
             if exp:
-                term = term * (image(divmod(k, n)) ** exp)
+                term = term * (flat[k] ** exp)
         result = result + term.scale(c)
     return result
 
@@ -242,16 +244,14 @@ def coproduct(e: DiffPoly) -> DiffPoly:
     """Comultiplication, 1-leg to 2-leg."""
     if e.legs != 1:
         raise ValueError("coproduct takes a 1-leg element")
-    table = _delta_table(e.group, e.order)
-    return _substitute(e, lambda var: table[var[1]], 2)
+    return _substitute(e, [_delta_table(e.group, e.order)], 2)
 
 
 def antipode(e: DiffPoly, printed: bool = False) -> DiffPoly:
     """Antipode, 1-leg to 1-leg."""
     if e.legs != 1:
         raise ValueError("antipode takes a 1-leg element")
-    table = _antipode_table(e.group, e.order, printed)
-    return _substitute(e, lambda var: table[var[1]], 1)
+    return _substitute(e, [_antipode_table(e.group, e.order, printed)], 1)
 
 
 def counit(e: DiffPoly) -> Fraction:
@@ -272,25 +272,6 @@ def _higher(e: DiffPoly, mono) -> list[int]:
 
 def derive(e: DiffPoly) -> DiffPoly:
     return e.derive()
-
-
-def _embed(e: DiffPoly, leg_of: dict[int, int], out_legs: int) -> DiffPoly:
-    """Rename legs, e.g. put a 2-leg element into legs (0, 1) of a 3-leg one."""
-    def image(var):
-        leg, j = var
-        return DiffPoly.generator(e.group, e.order, j, leg=leg_of[leg],
-                                  legs=out_legs)
-    return _substitute(e, image, out_legs)
-
-
-def _multiply_legs(e: DiffPoly) -> DiffPoly:
-    """Collapse a 2-leg element by multiplying the legs together."""
-    if e.legs != 2:
-        raise ValueError("leg multiplication takes a 2-leg element")
-    def image(var):
-        _, j = var
-        return DiffPoly.generator(e.group, e.order, j, legs=1)
-    return _substitute(e, image, 1)
 
 
 # axiom checking -----------------------------------------------------------
@@ -356,11 +337,17 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
         raise ValueError("antipode_mode must be 'derived' or 'printed'")
     printed = antipode_mode == "printed"
 
+    # generator images, built once per call: y[L][l] lists the generators
+    # of leg l in the L-leg algebra
+    y = {L: [[DiffPoly.generator(group, order, j, leg=l, legs=L)
+              for j in range(order + 1)] for l in range(L)] for L in (1, 2, 3)}
+    eps = [DiffPoly.constant(group, order, _counit_value(group, j))
+           for j in range(order + 1)]
     delta = _delta_table(group, order)
-    s_tab = _antipode_table(group, order, printed)
-    delta_01 = [_embed(d, {0: 0, 1: 1}, 3) for d in delta]
-    delta_12 = [_embed(d, {0: 1, 1: 2}, 3) for d in delta]
-    s_leg0 = [_embed(s, {0: 0}, 2) for s in s_tab]
+    delta_01 = [_substitute(d, y[3][:2], 3) for d in delta]
+    delta_12 = [_substitute(d, y[3][1:], 3) for d in delta]
+    s_leg0 = [_substitute(s, y[2][:1], 2)
+              for s in _antipode_table(group, order, printed)]
 
     checks = []
     for j in range(order):
@@ -368,27 +355,21 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
         dg = coproduct(g)
 
         # (delta x id) delta = (id x delta) delta
-        left = _substitute(dg, lambda var: delta_01[var[1]] if var[0] == 0
-                           else DiffPoly.generator(group, order, var[1], leg=2, legs=3), 3)
-        right = _substitute(dg, lambda var: DiffPoly.generator(group, order, var[1], leg=0, legs=3)
-                            if var[0] == 0 else delta_12[var[1]], 3)
+        left = _substitute(dg, [delta_01, y[3][2]], 3)
+        right = _substitute(dg, [y[3][0], delta_12], 3)
         checks.append(AxiomCheck(
             AXIOM_NAMES[0], j, left == right,
             None if left == right else f"({left}) != ({right})"))
 
         # (id x eps) delta = id
-        collapsed = _substitute(
-            dg, lambda var: DiffPoly.generator(group, order, var[1], legs=1)
-            if var[0] == 0
-            else DiffPoly.constant(group, order, _counit_value(group, var[1])), 1)
+        collapsed = _substitute(dg, [y[1][0], eps], 1)
         checks.append(AxiomCheck(
             AXIOM_NAMES[1], j, collapsed == g,
             None if collapsed == g else f"(id x eps)delta(y{j}) = {collapsed}"))
 
-        # m (S x id) delta = unit eps
-        swapped = _substitute(dg, lambda var: s_leg0[var[1]] if var[0] == 0
-                              else DiffPoly.generator(group, order, var[1], leg=1, legs=2), 2)
-        folded = _multiply_legs(swapped)
+        # m (S x id) delta = unit eps; m sends y_j of either leg to y_j
+        swapped = _substitute(dg, [s_leg0, y[2][1]], 2)
+        folded = _substitute(swapped, [y[1][0], y[1][0]], 1)
         expect = DiffPoly.constant(group, order, counit(g))
         checks.append(AxiomCheck(
             AXIOM_NAMES[2], j, folded == expect,

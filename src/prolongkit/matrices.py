@@ -98,7 +98,9 @@ def kron(A, B):
                 for l in range(cb):
                     b = B[k][l]
                     if not b.is_zero:
-                        out[i * rb + k][j * cb + l] = a * b
+                        # every caller has an identity factor
+                        out[i * rb + k][j * cb + l] = (
+                            b if a.is_one else a if b.is_one else a * b)
     return out
 
 
@@ -115,28 +117,32 @@ def block(rows):
     return out
 
 
-def block_triangular(blocks, weight, zero):
-    """Block lower-triangular matrix whose block (r, c) is
-    weight(r, c) * blocks[r - c] for r >= c.
+def prolongation(X, i: int, weight):
+    """Block lower-triangular order-i prolongation of the matrix X: block
+    (r, c) is weight(r, c) * d_t^(r-c) X for r >= c, and a zero block of
+    X's shape fills the strict upper triangle and every block of weight 0.
 
-    The blocks share one shape, and `zero` (a zero block of that shape)
-    fills the strict upper triangle and every block of weight 0.  Each
-    other weight is turned into a RatFunc once and multiplies every entry
-    of its block, which may be a RatFunc or anything a RatFunc scales; a
-    weight of 1 reuses the block as it is.
+    X's entries are RatFunc or anything a RatFunc scales.  Each other weight
+    is turned into a RatFunc once; a weight of 1 reuses the block as it is.
     """
-    size = len(blocks)
+    if i < 0:
+        raise ValueError("prolongation order must be >= 0")
+    derivs = [X]
+    for _ in range(i):
+        derivs.append(deriv(derivs[-1], "t"))
+    z = X[0][0] * RatFunc.zero()
+    zero = [[z] * len(X[0]) for _ in X]
     grid = []
-    for r in range(size):
+    for r in range(i + 1):
         brow = []
-        for c in range(size):
+        for c in range(i + 1):
             w = weight(r, c) if r >= c else 0
             if w == 0:
                 brow.append(zero)
             elif w == 1:
-                brow.append(blocks[r - c])
+                brow.append(derivs[r - c])
             else:
-                brow.append(scale(blocks[r - c], RatFunc.from_int(w)))
+                brow.append(scale(derivs[r - c], RatFunc.from_int(w)))
         grid.append(brow)
     return block(grid)
 

@@ -368,7 +368,11 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
     their canonical gcd in Q[x, t]: integer-primitive with positive leading
     coefficient under lex order x > t.  Both cofactors are integral."""
     P, Q = p.terms, q.terms
-    if not P or not Q:
+    if P and Q and (p.is_constant or q.is_constant):
+        return _MP_ONE, p, q
+    if not P or not Q or P == Q:
+        # gcd(p, 0) = gcd(p, p) is p's primitive part, and each nonzero
+        # side's cofactor is p's signed content
         r = p if P else q
         if not r.terms:
             return _MP_ONE, p, q
@@ -378,8 +382,6 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
         g = _poly({k: v // c for k, v in r.terms.items()})
         c = MPoly.const(c)
         return g, (c if P else p), (c if Q else q)
-    if p.is_constant or q.is_constant:
-        return _MP_ONE, p, q
     if len(P) == 1 or len(Q) == 1:
         i = min(min(P)[0], min(Q)[0])
         j = min(j for _, j in (*P, *Q))
@@ -529,14 +531,13 @@ class RatFunc:
         # with reduced inputs the sum over the lcm denominator can only
         # share factors with g = gcd(d1, d2), so one small gcd suffices
         g, d1r, d2r = gcd(d1, d2)
-        if g.terms == _ONE_TERMS:
-            return RatFunc(n1 * d2 + n2 * d1, d1 * d2, _reduce=False)
         num = n1 * d2r + n2 * d1r
         if num.is_zero:
             return _RF_ZERO
-        # the lcm denominator is g * d1r * d2r, and only g can cancel
-        _, num, gr = gcd(num, g)
-        return RatFunc(num, gr * d1r * d2r, _reduce=False)
+        # the lcm denominator is g * d1r * d2r = d1 * d2r; only g can cancel
+        h, num, gr = gcd(num, g)
+        den = d1 * d2r if h.terms == _ONE_TERMS else gr * d1r * d2r
+        return RatFunc(num, den, _reduce=False)
 
     __radd__ = __add__
 
@@ -621,8 +622,9 @@ class RatFunc:
         # that depends on var and divides it m times divides d e m + 1
         # times but divides n'e - n w not at all, since it divides e once
         # and n w not at all; so only factors of g can cancel
-        _, num, gr = gcd(n.deriv(var) * e - n * w, g)
-        return RatFunc(num, gr * e * e, _reduce=False)
+        h, num, gr = gcd(n.deriv(var) * e - n * w, g)
+        den = d * e if h.terms == _ONE_TERMS else gr * e * e
+        return RatFunc(num, den, _reduce=False)
 
 
 _MP_ZERO = MPoly.zero()

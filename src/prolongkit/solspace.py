@@ -13,8 +13,8 @@ exactly, entry by entry.
 
 SolExpr is a ratfield.Sparse over the monomials (a, b).  A RatFunc is a
 scalar on either side of '*', so a RatFunc system matrix multiplies a
-SolExpr matrix directly, and matrices.deriv and matrices.block_triangular
-take SolExpr blocks as they are.  Solution documents go through
+SolExpr matrix directly, and matrices.deriv and matrices.prolongation
+take SolExpr matrices as they are.  Solution documents go through
 exprparse.evaluate, the evaluator of module documents, with SolExpr leaves.
 """
 
@@ -25,7 +25,7 @@ import math
 from . import exprparse
 from . import matrices as mat
 from .diffmod import DiffModule
-from .exprparse import ExprError, ModuleDocError, validate_doc
+from .exprparse import ExprError, validate_doc
 from .ratfield import MPoly, RatFunc, Sparse
 
 
@@ -196,26 +196,14 @@ def build_fundamental_prolongation(Y, i: int):
     Block (r, c) is C(r, c) * d_t^(r-c) Y: the binomial weights are what
     makes the result satisfy the prolonged system (see verify_fundamental).
     """
-    return _prolong_solution(Y, i, math.comb)
+    return mat.prolongation(Y, i, math.comb)
 
 
 def unweighted_prolongation(Y, i: int):
     """Same block layout but with bare d_t^(r-c) Y blocks, no binomial
     weights.  Kept to demonstrate that the weights are required: from order
     2 on this matrix fails the transport check."""
-    return _prolong_solution(Y, i, lambda r, c: 1)
-
-
-def _prolong_solution(Y, i: int, weight):
-    """Block (r, c) = weight(r, c) * d_t^(r-c) Y for r >= c, zero above."""
-    if i < 0:
-        raise ValueError("prolongation order must be >= 0")
-    n = len(Y)
-    Ys = [Y]
-    for _ in range(i):
-        Ys.append(mat.deriv(Ys[-1], "t"))
-    zero = [[SolExpr.zero()] * n for _ in range(n)]
-    return mat.block_triangular(Ys, weight, zero)
+    return mat.prolongation(Y, i, lambda r, c: 1)
 
 
 class FundamentalCheck:
@@ -291,18 +279,6 @@ def parse_solution(text: str) -> SolExpr:
 def load_solution(data) -> list[list[SolExpr]]:
     """Parse a solution document, same JSON shape as a module document but
     with entries over x, t, theta, lam."""
-    n, matrix, _ = validate_doc(data)
-    rows = []
-    for r, row in enumerate(matrix):
-        out = []
-        for c, entry in enumerate(row):
-            try:
-                out.append(parse_solution(entry))
-            except ExprError as e:
-                raise ModuleDocError(
-                    f"entry ({r},{c}): {e.message} (byte {e.offset})",
-                    row=r, col=c) from e
-            except UnrepresentableSolutionError as e:
-                raise ModuleDocError(f"entry ({r},{c}): {e}", row=r, col=c) from e
-        rows.append(out)
-    return rows
+    _, matrix, _ = validate_doc(data)
+    return exprparse.parse_entries(
+        matrix, parse_solution, (ExprError, UnrepresentableSolutionError))

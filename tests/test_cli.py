@@ -284,6 +284,45 @@ def test_deeply_nested_entry_is_input_error(capsys, tmp_path, entry):
     assert "nests deeper" in out.err and out.err.count("\n") == 1
 
 
+# the error line and exit code of each bad entry at (0,1), as the module
+# and solution loaders reported them before they shared one entry loop
+BAD_ENTRY_ERRORS = {
+    ("x +* t", "module"): "error: entry (0,1): unexpected token '*' (byte 3)",
+    ("x +* t", "solution"):
+        "error: {path}: entry (0,1): unexpected token '*' (byte 3)",
+    ("x + y", "module"): "error: entry (0,1): unknown variable 'y' (byte 4)",
+    ("x + y", "solution"):
+        "error: {path}: entry (0,1): unknown variable 'y' (byte 4)",
+    ("x/(t - t)", "module"):
+        "error: entry (0,1): division by a zero expression (byte 1)",
+    ("x/(t - t)", "solution"):
+        "error: {path}: entry (0,1): division by a zero expression (byte 1)",
+    ("x/theta", "module"):
+        "error: entry (0,1): unknown variable 'theta' (byte 2)",
+    ("x/theta", "solution"):
+        "error: {path}: entry (0,1): division by a theta/lam expression is "
+        "outside the term algebra",
+}
+
+
+@pytest.mark.parametrize("entry, doc", list(BAD_ENTRY_ERRORS),
+                         ids=[f"{d}-{e}" for e, d in BAD_ENTRY_ERRORS])
+def test_bad_document_entry_error_line(capsys, tmp_path, entry, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 2, "matrix": [["t/x", entry], ["1", "0"]]}))
+    if doc == "module":
+        argv = ["prolong", str(bad), "-i", "1"]
+    else:
+        mod = tmp_path / "m.json"
+        mod.write_text(CONST_DOC)
+        argv = ["verify", str(mod), "-i", "1", "--solution", str(bad)]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == BAD_ENTRY_ERRORS[entry, doc].format(path=bad) + "\n"
+
+
 def test_flat_sum_entry_evaluates(capsys, tmp_path):
     p = tmp_path / "flat.json"
     p.write_text(json.dumps({"n": 1, "matrix": [["+".join(["x"] * 3000)]]}))

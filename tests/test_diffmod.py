@@ -62,6 +62,23 @@ def test_iterate_frozen():
     assert iterate_F(XT, 3).n == 8
 
 
+def _iterate_by_blocks(M, k):
+    """The k-fold step B -> [[B, 0], [B_t, B]] written out block by block."""
+    B = M.A
+    for _ in range(k):
+        n = len(B)
+        B = mat.block([[B, mat.zeros(n, n)], [mat.deriv(B, "t"), B]])
+    return B
+
+
+@pytest.mark.parametrize("k", range(4))
+def test_iterate_matches_the_block_step(k):
+    M = DiffModule(pmat([["t^2/x", "x*t"], ["1/(x + t)", "t^3"]]))
+    got = iterate_F(M, k)
+    assert got.n == 2 ** (k + 1)
+    assert mat.eq(got.A, _iterate_by_blocks(M, k))
+
+
 def test_constant_module_prolongs_diagonally():
     M = DiffModule(pmat([["0", "1"], ["0", "0"]]))
     P = prolong(M, 2)

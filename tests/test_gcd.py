@@ -350,3 +350,25 @@ def test_gcd_exits_before_the_heuristic():
     g, cm, cf = gcd(m, f * _x * _t)
     assert g == _x * _t and cm == _x.scale(-2) and cf == f
     assert gcd(m, f) == (_1, m, f)
+
+
+@pytest.mark.parametrize("p", [
+    (_x * _x * _t + _x + _t + _1).scale(-6),
+    ((_x + _t) * (_x - _t.scale(2) + _1)).scale(-4),
+    (_t * _t + _1).scale(-3),
+], ids=["dense", "linear-product", "x-free"])
+def test_gcd_of_equal_sides_is_the_primitive_part(monkeypatch, p):
+    calls = []
+    exact_div = MPoly.exact_div
+
+    def counted_exact_div(self, d):
+        calls.append(d)
+        return exact_div(self, d)
+
+    monkeypatch.setattr(MPoly, "exact_div", counted_exact_div)
+    g, cp, cq = gcd(p, p)
+    assert g == reference_gcd(p, p)
+    # p's content with p's sign, on both sides
+    assert cp == cq and cp.is_constant and cp.constant_value() < -1
+    assert g * cp == p
+    assert not calls

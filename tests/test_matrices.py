@@ -223,23 +223,29 @@ def test_gauge_morphism_has_nonzero_blocks_up_to_order_three():
         assert not any(mat.is_zero(X) for X in powers)
 
 
+T_MODULE = DiffModule([[RatFunc.var_t()]])
+
+
 @pytest.mark.parametrize("build, arg", [
-    (prolong_lemma, DiffModule([[RatFunc.var_t()]])),
+    (prolong, T_MODULE),
+    (prolong_lemma, T_MODULE),
+    (prolong_morphism, ModuleMorphism(T_MODULE, T_MODULE, mat.identity(1))),
     (build_fundamental_prolongation, [[parse_solution("theta")]]),
     (unweighted_prolongation, [[parse_solution("theta")]]),
-], ids=["prolong_lemma", "build_fundamental_prolongation",
-        "unweighted_prolongation"])
+], ids=["prolong", "prolong_lemma", "prolong_morphism",
+        "build_fundamental_prolongation", "unweighted_prolongation"])
 def test_builders_reject_negative_order(build, arg):
-    with pytest.raises(ValueError, match="order"):
+    with pytest.raises(ValueError, match="prolongation order must be >= 0"):
         build(arg, -1)
 
 
-def test_block_triangular_fills_zero_weights_and_upper_triangle():
-    X = pmat([["x", "t"]])
-    Z = mat.zeros(1, 2)
-    got = mat.block_triangular([X, X, X], lambda r, c: r - c, Z)
+def test_prolongation_fills_zero_weights_and_upper_triangle():
+    # X_t = (2*x*t, 1/x) and X_tt = (2*x, 0); weight r - c is 0 on the
+    # diagonal, 1 below it and 2 at block (2, 0)
+    X = pmat([["x*t^2", "t/x"]])
+    got = mat.prolongation(X, 2, lambda r, c: r - c)
     assert got == pmat([
         ["0", "0", "0", "0", "0", "0"],
-        ["x", "t", "0", "0", "0", "0"],
-        ["2*x", "2*t", "x", "t", "0", "0"],
+        ["2*x*t", "1/x", "0", "0", "0", "0"],
+        ["4*x", "0", "2*x*t", "1/x", "0", "0"],
     ])

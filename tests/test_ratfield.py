@@ -6,6 +6,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from prolongkit import ratfield
 from prolongkit.hopf import GM, DiffPoly
 from prolongkit.ratfield import LinDiffOp, MPoly, RatFunc, gcd
 from prolongkit.sampling import random_operator, random_ratfunc
@@ -339,11 +340,19 @@ _x, _t = MPoly.variable("x"), MPoly.variable("t")
     (RatFunc(1, (_x + _t).scale(2)), RatFunc(1, (_x + _t).scale(2)),
      RatFunc(1, _x + _t)),
     (RatFunc(1, _x - _t), RatFunc(-1, _x - _t), RatFunc.zero()),
-], ids=["2x+2,x+1", "2x,4x^2", "3t,6t^2", "d+d", "d-d"])
+    (RatFunc(_x, 2), RatFunc(_t, 2), RatFunc(_x + _t, 2)),
+    (RatFunc(_x, 2), RatFunc(-_x, 2), RatFunc.zero()),
+], ids=["2x+2,x+1", "2x,4x^2", "3t,6t^2", "d+d", "d-d", "2+2", "2-2"])
 def test_sum_fixed_cases(a, b, want):
     for total in (a + b, b + a):
         assert total == want == reduced_sum(a, b)
         assert_canonical(total)
+
+
+@pytest.mark.parametrize("d", [MPoly.const(2), _x - _t, (_x * _t).scale(3)],
+                         ids=["2", "x-t", "3xt"])
+def test_zero_sum_is_the_shared_zero(d):
+    assert RatFunc(_x, d) + RatFunc(-_x, d) is ratfield._RF_ZERO
 
 
 # dense inputs: p*r and q*r hold at least 24 Z[t] coefficients, and r makes
