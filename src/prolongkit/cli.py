@@ -39,16 +39,11 @@ def _read_file(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from e
 
 
-def _load_doc(path: str) -> ModuleDoc:
-    try:
-        return ModuleDoc.parse(_read_file(path))
-    except ModuleDocError as e:
-        raise InputError(f"{path}: {e}") from e
-
-
 def _load_module(path: str):
+    """The module of the document at path, named as the document; an error
+    in the document names the file."""
     try:
-        return _load_doc(path).to_module()
+        return ModuleDoc.parse(_read_file(path)).to_module()
     except ModuleDocError as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -75,8 +70,7 @@ def _resolve_seed(args) -> int:
 
 def cmd_prolong(args) -> int:
     start = time.perf_counter()
-    doc = _load_doc(args.file)
-    M = doc.to_module()
+    M = _load_module(args.file)
     if args.kind == "binomial":
         out = prolong(M, args.i)
     elif args.kind == "lemma":
@@ -86,7 +80,7 @@ def cmd_prolong(args) -> int:
     report = {
         "command": "prolong",
         "inputs": {"file": args.file, "i": args.i, "kind": args.kind,
-                   "name": doc.name},
+                   "name": M.name},
         "outcome": "result",
         "result": {"n": out.n, "matrix": render_matrix(out.A)},
     }
@@ -97,8 +91,7 @@ def cmd_prolong(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    doc = _load_doc(args.file)
-    M = doc.to_module()
+    M = _load_module(args.file)
     if args.example:
         if args.example != "xt":
             raise InputError(f"unknown example {args.example!r}")
@@ -133,7 +126,7 @@ def cmd_verify(args) -> int:
                    "example": args.example,
                    "solution": args.solution,
                    "strip_binomials": args.strip_binomials,
-                   "name": doc.name},
+                   "name": M.name},
         "outcome": "pass" if check.passed else "fail",
         "result": {
             "derivative_ok": check.derivative_ok,
@@ -214,14 +207,11 @@ def cmd_check(args) -> int:
 
 def _binary_command(args, op, label: str) -> int:
     start = time.perf_counter()
-    da = _load_doc(args.a)
-    db = _load_doc(args.b) if args.b is not None else None
-    if db is None:
-        out = op(da.to_module())
-        inputs = {"a": args.a, "a_name": da.name}
-    else:
-        out = op(da.to_module(), db.to_module())
-        inputs = {"a": args.a, "a_name": da.name, "b": args.b, "b_name": db.name}
+    modules = [_load_module(p) for p in (args.a, args.b) if p is not None]
+    out = op(*modules)
+    inputs = {"a": args.a, "a_name": modules[0].name}
+    if args.b is not None:
+        inputs.update(b=args.b, b_name=modules[1].name)
     report = {
         "command": label,
         "inputs": inputs,

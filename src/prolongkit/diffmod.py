@@ -84,9 +84,11 @@ def is_morphism(P, src: DiffModule, dst: DiffModule) -> bool:
     if rows != dst.n or cols != src.n:
         raise ValueError(
             f"morphism matrix must be {dst.n}x{src.n}, got {rows}x{cols}")
-    lhs = mat.deriv(P, "x")
-    rhs = mat.sub(mat.mul(dst.A, P), mat.mul(P, src.A))
-    return mat.eq(lhs, rhs)
+    BP, PA = mat.mul(dst.A, P), mat.mul(P, src.A)
+    if mat.is_constant(P):
+        # d_x P = 0, so the condition is B P = P A
+        return mat.eq(BP, PA)
+    return mat.eq(mat.deriv(P, "x"), mat.sub(BP, PA))
 
 
 # prolongation shapes ------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Dense matrix helpers over RatFunc: plain lists of lists, pure functions.
+"""Matrices over RatFunc as plain lists of lists, with pure functions.
 
+The product skips zero entries and takes a factor 1 as the other factor.
 Nothing here mutates its arguments.  rank, det and inverse share one
 Gauss-Jordan elimination, which relies on exact field division so there is
 no pivoting subtlety.
@@ -10,6 +11,9 @@ from __future__ import annotations
 import math
 
 from .ratfield import RatFunc
+
+_ZERO = RatFunc.zero()
+_ONE = RatFunc.one()
 
 
 def zeros(r: int, c: int):
@@ -44,22 +48,26 @@ def scale(A, s):
 
 
 def mul(A, B):
+    """A times B over pairs of nonzero entries, a factor 1 contributing the
+    other as it is.  B's entries may be anything a RatFunc scales (SolExpr);
+    the product's zero is taken from B."""
     rows, inner = shape(A)
     inner2, cols = shape(B)
     if inner != inner2:
         raise ValueError(f"shape mismatch: {rows}x{inner} times {inner2}x{cols}")
-    Bt = list(zip(*B))
+    if not cols:
+        return [[] for _ in A]
+    z = B[0][0] * _ZERO
+    brows = [[(j, b, b == _ONE) for j, b in enumerate(row) if b] for row in B]
     out = []
     for ra in A:
-        row = []
-        for cb in Bt:
-            acc = RatFunc.zero()
-            for a, b in zip(ra, cb):
-                if a.is_zero or b.is_zero:
-                    continue
-                acc = acc + a * b
-            row.append(acc)
-        out.append(row)
+        acc = [z] * cols
+        for a, brow in zip(ra, brows):
+            if a:
+                one = a.is_one
+                for j, b, unit in brow:
+                    acc[j] = acc[j] + (b if one else a if unit else b * a)
+        out.append(acc)
     return out
 
 

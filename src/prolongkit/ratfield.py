@@ -411,6 +411,14 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
         except ValueError:
             xi = 2 * xi + 1
 
+
+def _times(p: MPoly, q: MPoly) -> MPoly:
+    """p * q, where a factor 1 costs no product."""
+    if q.terms == _ONE_TERMS:
+        return p
+    return q if p.terms == _ONE_TERMS else p * q
+
+
 # ---------------------------------------------------------------------------
 
 class RatFunc:
@@ -526,17 +534,23 @@ class RatFunc:
             return other
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        if d1.terms == _ONE_TERMS and d2.terms == _ONE_TERMS:
-            return RatFunc(n1 + n2, _reduce=False)
+        if d1.terms == d2.terms:
+            # equal denominators, 1 among them: the cofactors are 1, and
+            # only a factor of d1 can cancel
+            num = n1 + n2
+            if num.terms and d1.terms != _ONE_TERMS:
+                _, num, d1 = gcd(num, d1)
+            return RatFunc(num, d1, _reduce=False) if num.terms else _RF_ZERO
         # with reduced inputs the sum over the lcm denominator can only
         # share factors with g = gcd(d1, d2), so one small gcd suffices
         g, d1r, d2r = gcd(d1, d2)
-        num = n1 * d2r + n2 * d1r
+        num = _times(n1, d2r) + _times(n2, d1r)
         if num.is_zero:
             return _RF_ZERO
         # the lcm denominator is g * d1r * d2r = d1 * d2r; only g can cancel
         h, num, gr = gcd(num, g)
-        den = d1 * d2r if h.terms == _ONE_TERMS else gr * d1r * d2r
+        den = (_times(d1, d2r) if h.terms == _ONE_TERMS
+               else _times(_times(gr, d1r), d2r))
         return RatFunc(num, den, _reduce=False)
 
     __radd__ = __add__

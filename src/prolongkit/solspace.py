@@ -12,8 +12,8 @@ running example and all of its prolongations, and to check d_x Y = A Y
 exactly, entry by entry.
 
 SolExpr is a ratfield.Sparse over the monomials (a, b).  A RatFunc is a
-scalar on either side of '*', so a RatFunc system matrix multiplies a
-SolExpr matrix directly, and matrices.deriv and matrices.prolongation
+scalar on either side of '*', so matrices.mul multiplies a RatFunc system
+matrix by a SolExpr matrix, and matrices.deriv and matrices.prolongation
 take SolExpr matrices as they are.  Solution documents go through
 exprparse.evaluate, the evaluator of module documents, with SolExpr leaves.
 """
@@ -154,23 +154,6 @@ def render_sol(e: SolExpr) -> str:
 
 # matrices of SolExpr ------------------------------------------------------
 
-def sol_mat_mul(A, Y):
-    rows = len(A)
-    inner = len(A[0])
-    cols = len(Y[0])
-    out = []
-    for i in range(rows):
-        row = []
-        for j in range(cols):
-            acc = SolExpr.zero()
-            for k in range(inner):
-                # SolExpr on the left: its product takes a RatFunc directly
-                acc = acc + Y[k][j] * A[i][k]
-            row.append(acc)
-        out.append(row)
-    return out
-
-
 def sol_det(Y) -> SolExpr:
     """Cofactor expansion; fine at the sizes that appear here."""
     n = len(Y)
@@ -235,7 +218,7 @@ def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:
     if len(Y) != M.n or any(len(row) != M.n for row in Y):
         raise ValueError(f"solution matrix must be {M.n}x{M.n}")
     lhs = mat.deriv(Y, "x")
-    rhs = sol_mat_mul(M.A, Y)
+    rhs = mat.mul(M.A, Y)
     first = None
     for r in range(M.n):
         for c in range(M.n):

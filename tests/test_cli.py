@@ -280,25 +280,27 @@ def test_deeply_nested_entry_is_input_error(capsys, tmp_path, entry):
     code = main(["prolong", str(p), "-i", "1"])
     out = capsys.readouterr()
     assert code == 2
-    assert out.err.startswith("error: entry (0,0): ")
+    assert out.err.startswith(f"error: {p}: entry (0,0): ")
     assert "nests deeper" in out.err and out.err.count("\n") == 1
 
 
-# the error line and exit code of each bad entry at (0,1), as the module
-# and solution loaders reported them before they shared one entry loop
+# the error line and exit code of each bad entry at (0,1); both loaders share
+# one entry loop, and both lines name the file at fault
 BAD_ENTRY_ERRORS = {
-    ("x +* t", "module"): "error: entry (0,1): unexpected token '*' (byte 3)",
+    ("x +* t", "module"):
+        "error: {path}: entry (0,1): unexpected token '*' (byte 3)",
     ("x +* t", "solution"):
         "error: {path}: entry (0,1): unexpected token '*' (byte 3)",
-    ("x + y", "module"): "error: entry (0,1): unknown variable 'y' (byte 4)",
+    ("x + y", "module"):
+        "error: {path}: entry (0,1): unknown variable 'y' (byte 4)",
     ("x + y", "solution"):
         "error: {path}: entry (0,1): unknown variable 'y' (byte 4)",
     ("x/(t - t)", "module"):
-        "error: entry (0,1): division by a zero expression (byte 1)",
+        "error: {path}: entry (0,1): division by a zero expression (byte 1)",
     ("x/(t - t)", "solution"):
         "error: {path}: entry (0,1): division by a zero expression (byte 1)",
     ("x/theta", "module"):
-        "error: entry (0,1): unknown variable 'theta' (byte 2)",
+        "error: {path}: entry (0,1): unknown variable 'theta' (byte 2)",
     ("x/theta", "solution"):
         "error: {path}: entry (0,1): division by a theta/lam expression is "
         "outside the term algebra",
@@ -321,6 +323,27 @@ def test_bad_document_entry_error_line(capsys, tmp_path, entry, doc):
     assert code == 2
     assert out.out == ""
     assert out.err == BAD_ENTRY_ERRORS[entry, doc].format(path=bad) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{bad}", "-i", "1", "--example", "xt"],
+    ["tensor", "{good}", "{bad}"],
+    ["tensor", "{bad}", "{good}"],
+    ["dsum", "{good}", "{bad}"],
+    ["dual", "{bad}"],
+    ["check", "exactness", "--file", "{bad}"],
+], ids=["verify", "tensor-second", "tensor-first", "dsum", "dual", "check"])
+def test_every_command_names_the_bad_module_file(capsys, tmp_path, argv):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"n": 1, "matrix": [["t/x"]]}))
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 1, "matrix": [["x +* t"]]}))
+    code = main([a.format(good=good, bad=bad) for a in argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == (f"error: {bad}: entry (0,0): unexpected token '*' "
+                       "(byte 3)\n")
 
 
 def test_flat_sum_entry_evaluates(capsys, tmp_path):

@@ -2,21 +2,85 @@ import itertools
 import math
 import random
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
 from prolongkit import matrices as mat
 from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
-                                inclusion_i, projection_phi, prolong,
-                                prolong_lemma, prolong_morphism)
+                                conjugate_constant, inclusion_i, is_morphism,
+                                projection_phi, prolong, prolong_lemma,
+                                prolong_morphism)
 from prolongkit.exprparse import parse_expr
 from prolongkit.ratfield import RatFunc
-from prolongkit.sampling import random_module
-from prolongkit.solspace import (build_fundamental_prolongation,
+from prolongkit.sampling import random_constant_invertible, random_module
+from prolongkit.solspace import (SolExpr, build_fundamental_prolongation,
                                  parse_solution, unweighted_prolongation)
 
 
 def pmat(rows):
     return [[parse_expr(e) for e in row] for row in rows]
+
+
+# the product over nonzero entries ----------------------------------------
+
+def _mul_reference(A, B, zero):
+    """The plain triple loop: every pair of entries, zeros and units too."""
+    return [[sum((A[i][k] * B[k][j] for k in range(len(B))), zero)
+             for j in range(len(B[0]) if B else 0)] for i in range(len(A))]
+
+
+# zeros and units repeated, so that most products meet them
+_RF_ENTRIES = [parse_expr(e) for e in (
+    "0", "0", "0", "1", "1", "-1", "3", "-2/3", "x", "t", "x^2 - t*x + 1",
+    "1/x", "t/(x + 1)", "(x + t)/(x - t)", "1/2")]
+_SOL_ENTRIES = [parse_solution(e) for e in (
+    "0", "0", "1", "theta", "lam*theta", "x*theta + t", "1/x", "theta^2 - lam")]
+
+
+def _matrices(entries, rows, cols):
+    return st.lists(st.lists(st.sampled_from(entries), min_size=cols,
+                             max_size=cols), min_size=rows, max_size=rows)
+
+
+_shapes = st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4))
+
+
+@hypothesis.given(_shapes.flatmap(lambda s: st.tuples(
+    _matrices(_RF_ENTRIES, s[0], s[1]), _matrices(_RF_ENTRIES, s[1], s[2]))))
+@hypothesis.settings(deadline=None, max_examples=150)
+def test_mul_matches_the_triple_loop(AB):
+    A, B = AB
+    before = ([list(r) for r in A], [list(r) for r in B])
+    got = mat.mul(A, B)
+    assert mat.shape(got) == (len(A), len(B[0]))
+    assert mat.eq(got, _mul_reference(A, B, RatFunc.zero()))
+    assert (A, B) == before
+
+
+@hypothesis.given(_shapes.flatmap(lambda s: st.tuples(
+    _matrices(_RF_ENTRIES, s[0], s[1]), _matrices(_SOL_ENTRIES, s[1], s[2]))))
+@hypothesis.settings(deadline=None, max_examples=100)
+def test_mul_by_a_solution_matrix_matches_the_triple_loop(AY):
+    A, Y = AY
+    got = mat.mul(A, Y)
+    assert all(type(e) is SolExpr for row in got for e in row)
+    assert mat.eq(got, _mul_reference(A, Y, SolExpr.zero()))
+
+
+@pytest.mark.parametrize("A, B, want", [
+    ([], [], []),
+    ([[], []], [], [[], []]),
+    ([["x", "1", "0"], ["t", "0", "1"]], [[], [], []], [[], []]),
+], ids=["0x0-0x0", "2x0-0x0", "2x3-3x0"])
+def test_mul_with_an_empty_shape(A, B, want):
+    assert mat.mul(pmat(A), B) == want
+
+
+def test_mul_rejects_a_shape_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch: 2x3 times 2x2"):
+        mat.mul(pmat([["x", "1", "0"], ["t", "0", "1"]]),
+                pmat([["1", "0"], ["0", "1"]]))
 
 
 # elimination over non-constant entries -----------------------------------
@@ -156,6 +220,55 @@ def _gauge_morphism(M):
              else [["t^3 + x", "t*x"], ["0", "t^2 + 1"]])
     B = mat.mul(mat.add(mat.deriv(P, "x"), mat.mul(P, M.A)), mat.inverse(P))
     return ModuleMorphism(M, DiffModule(B), P)
+
+
+def _changed(P, r, c, delta):
+    """P with entry (r, c) plus delta."""
+    Q = [list(row) for row in P]
+    Q[r][c] = Q[r][c] + parse_expr(delta)
+    return Q
+
+
+def _condition_holds(P, src, dst):
+    """d_x P = B P - P A, with d_x P computed even when P is constant."""
+    return mat.eq(mat.deriv(P, "x"),
+                  mat.sub(mat.mul(dst.A, P), mat.mul(P, src.A)))
+
+
+# at n = 1 every constant scalar is a morphism of M to itself
+@pytest.mark.parametrize("n", [2, 3])
+def test_is_morphism_on_a_constant_matrix_skips_d_x(monkeypatch, n):
+    rng = random.Random(50 + n)
+    M = random_module(rng, n)
+    C = random_constant_invertible(rng, n)
+    N = conjugate_constant(M, C)
+    Q = mat.inverse(mat.transpose(C))
+    bad = _changed(Q, n - 1, 0, "1")
+    assert mat.is_constant(Q) and mat.is_constant(bad)
+    assert _condition_holds(Q, M, N) and not _condition_holds(bad, M, N)
+
+    def no_deriv(A, var):
+        raise AssertionError("d_x of a constant matrix was computed")
+    monkeypatch.setattr(mat, "deriv", no_deriv)
+    assert is_morphism(Q, M, N)
+    assert not is_morphism(bad, M, N)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("delta", ["1", "x", "t^2"])
+def test_is_morphism_on_a_gauge_matrix_takes_d_x(monkeypatch, n, delta):
+    phi = _gauge_morphism(random_module(random.Random(40 + n), n))
+    bad = _changed(phi.P, 0, n - 1, delta)
+    assert not mat.is_constant(phi.P)
+    assert not _condition_holds(bad, phi.src, phi.dst)
+
+    derived = []
+    deriv = mat.deriv
+    monkeypatch.setattr(mat, "deriv",
+                        lambda A, var: derived.append(var) or deriv(A, var))
+    assert is_morphism(phi.P, phi.src, phi.dst)
+    assert not is_morphism(bad, phi.src, phi.dst)
+    assert derived == ["x", "x"]
 
 
 def _layout(builder, n, i):

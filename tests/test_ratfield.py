@@ -349,6 +349,28 @@ def test_sum_fixed_cases(a, b, want):
         assert_canonical(total)
 
 
+@pytest.mark.parametrize("a, b, products", [
+    (RatFunc(_x, 2), RatFunc(_t, 2), 0),
+    (RatFunc(_x, _x - _t), RatFunc(_x + _t, _x - _t), 0),
+    (RatFunc(_x, _x + _t), RatFunc(_t * _t + MPoly.one()), 1),
+    (RatFunc(1, _x), RatFunc(_t, _x * _x), 1),
+], ids=["2+2", "d+d", "d+1", "x+x^2"])
+def test_sum_skips_products_by_a_unit_cofactor(monkeypatch, a, b, products):
+    # multiplying by every cofactor takes 3 products in each case
+    calls = []
+    mul = MPoly.__mul__
+
+    def counting(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    total = a + b
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert total == reduced_sum(a, b)
+    assert_canonical(total)
+
+
 @pytest.mark.parametrize("d", [MPoly.const(2), _x - _t, (_x * _t).scale(3)],
                          ids=["2", "x-t", "3xt"])
 def test_zero_sum_is_the_shared_zero(d):
