@@ -56,14 +56,10 @@ def check_embedding(seed: int, cases: int = 50, n: int = 2,
 
     def probe(label: str, M: DiffModule):
         try:
-            e = embedding_E(M)  # construction re-checks the morphism identity
+            e = embedding_E(M)  # construction checks the identity B P = P A
         except ValueError as err:
             failures.append(f"{label}: {err}")
             return
-        lhs = mat.mul(e.dst.A, e.P)
-        rhs = mat.mul(e.P, e.src.A)
-        if not mat.eq(lhs, rhs):
-            failures.append(f"{label}: intertwining identity fails")
         r = mat.rank(e.P)
         if r != 3 * M.n:
             failures.append(f"{label}: rank {r} != {3 * M.n}")

@@ -178,6 +178,10 @@ def cmd_check(args) -> int:
         if (getattr(args, option) is not None and option not in options
                 and not (option == "seed" and seeded)):
             raise InputError(f"check {name} does not take --{option}")
+    # --file's module replaces the random ones and the options that shape them
+    drawn = [o for o in ("n", "seed", "cases") if getattr(args, o) is not None]
+    if args.file is not None and drawn:
+        raise InputError(f"check {name} --file does not take --{drawn[0]}")
     for option, least in _CHECK_MINIMA.items():
         value = getattr(args, option)
         if value is not None and value < least:

@@ -2,8 +2,8 @@
 
 The product skips zero entries and takes a factor 1 as the other factor.
 Nothing here mutates its arguments.  rank, det and inverse share one
-Gauss-Jordan elimination, which relies on exact field division so there is
-no pivoting subtlety.
+Gauss-Jordan elimination over the pivot row's nonzero entries, which relies
+on exact field division so there is no pivoting subtlety.
 """
 
 from __future__ import annotations
@@ -17,14 +17,11 @@ _ONE = RatFunc.one()
 
 
 def zeros(r: int, c: int):
-    z = RatFunc.zero()
-    return [[z for _ in range(c)] for _ in range(r)]
+    return [[_ZERO] * c for _ in range(r)]
 
 
 def identity(n: int):
-    z = RatFunc.zero()
-    o = RatFunc.one()
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
+    return [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
 
 
 def shape(A) -> tuple[int, int]:
@@ -156,33 +153,35 @@ def prolongation(X, i: int, weight):
 
 
 def _reduce(M, cols: int) -> tuple[list[RatFunc], int]:
-    """Gauss-Jordan elimination of M in place, pivoting on the first `cols`
-    columns; row operations run over whole rows.
+    """Gauss-Jordan elimination of M in place on its first `cols` columns,
+    over the pivot row's nonzero entries; a factor of 1 is never multiplied.
 
     Returns the pivots and the number of row swaps.  The number of pivots
     is the rank of the first `cols` columns, and their pivot rows come
     first, each with a leading 1.
     """
-    rows = len(M)
     pivots = []
     swaps = 0
     for c in range(cols):
         r = len(pivots)
-        if r == rows:
-            break
-        pivot = next((i for i in range(r, rows) if not M[i][c].is_zero), None)
+        pivot = next((i for i in range(r, len(M)) if M[i][c]), None)
         if pivot is None:
             continue
         if pivot != r:
             M[r], M[pivot] = M[pivot], M[r]
             swaps += 1
-        pivots.append(M[r][c])
-        inv = RatFunc.one() / M[r][c]
-        M[r] = [v * inv for v in M[r]]
-        for i in range(rows):
-            if i != r and not M[i][c].is_zero:
-                f = M[i][c]
-                M[i] = [v - f * w for v, w in zip(M[i], M[r])]
+        p = M[r][c]
+        pivots.append(p)
+        if not p.is_one:
+            inv = _ONE / p
+            M[r] = [(inv if w.is_one else w * inv) if w else w for w in M[r]]
+        nz = [(j, w, w.is_one) for j, w in enumerate(M[r]) if w]
+        for i, row in enumerate(M):
+            f = row[c]
+            if f and i != r:
+                unit = f.is_one
+                for j, w, one in nz:
+                    row[j] = row[j] - (w if unit else f if one else f * w)
     return pivots, swaps
 
 
@@ -197,7 +196,8 @@ def det(A) -> RatFunc:
     pivots, swaps = _reduce([list(row) for row in A], cols)
     if len(pivots) < cols:
         return RatFunc.zero()
-    return math.prod(pivots, start=RatFunc.from_int((-1) ** swaps))
+    return math.prod((p for p in pivots if not p.is_one),
+                     start=RatFunc.from_int((-1) ** swaps))
 
 
 def inverse(A):

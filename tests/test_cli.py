@@ -269,6 +269,21 @@ def test_check_options_the_suite_does_not_take_are_usage_errors(
     assert out.err == f"error: check {argv[1]} does not take {option}\n"
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["--cases", "5"], "--cases"),
+    (["--n", "3"], "--n"),
+    (["--seed", "4"], "--seed"),
+    (["--cases", "5", "--n", "3", "--seed", "4"], "--n"),
+])
+def test_check_from_a_file_rejects_the_draw_options(capsys, xt_file, argv,
+                                                    option):
+    code = main(["check", "exactness", "--file", xt_file, *argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == f"error: check exactness --file does not take {option}\n"
+
+
 @pytest.mark.parametrize("entry", [
     "(" * 5000 + "x" + ")" * 5000,
     "-" * 5000 + "x",

@@ -1,8 +1,11 @@
 import random
+from fractions import Fraction
 
 import pytest
 
+from prolongkit import diffmod
 from prolongkit import matrices as mat
+from prolongkit.checks import check_embedding
 from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
                                 conjugate_constant, dsum, dual, dual_morphism,
                                 dual_swap_g, embedding_E, inclusion_i,
@@ -186,6 +189,19 @@ def test_embedding_random_seeded():
         e = embedding_E(M)
         assert mat.eq(mat.mul(e.dst.A, e.P), mat.mul(e.P, e.src.A))
         assert mat.rank(e.P) == 6
+
+
+@pytest.mark.parametrize("break_it", [
+    lambda mp: mp.setattr(diffmod, "iterate_F", lambda M, k: prolong(M, k + 1)),
+    lambda mp: mp.setattr(diffmod, "Fraction", lambda a, b: Fraction(a, b + 1)),
+], ids=["target-module", "matrix"])
+def test_check_embedding_fails_on_a_broken_embedding(monkeypatch, break_it):
+    break_it(monkeypatch)
+    res = check_embedding(3, cases=2)
+    assert not res.passed
+    assert res.failures == [
+        f"{label}: matrix does not satisfy the morphism condition"
+        for label in ("xt example", "case 0", "case 1")]
 
 
 def test_inclusion_projection_exactness():

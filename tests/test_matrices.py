@@ -8,7 +8,8 @@ import pytest
 
 from prolongkit import matrices as mat
 from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
-                                conjugate_constant, inclusion_i, is_morphism,
+                                conjugate_constant, dual_swap_g, embedding_E,
+                                inclusion_i, is_morphism, product_rule_map,
                                 projection_phi, prolong, prolong_lemma,
                                 prolong_morphism)
 from prolongkit.exprparse import parse_expr
@@ -180,6 +181,126 @@ def test_inverse_of_singular_raises():
 def test_non_square_det_and_inverse_raise(fn):
     with pytest.raises(ValueError, match="non-square"):
         fn(pmat([["x", "t", "1"], ["1", "x", "t"]]))
+
+
+# the elimination against a dense reference -------------------------------
+
+def _dense_gauss_jordan(A, cols):
+    """The plain Gauss-Jordan elimination: whole rows, every entry divided
+    and multiplied, zeros and units too.  Returns the rank of the first
+    `cols` columns, the determinant of a square A and the reduced rows."""
+    M = [list(row) for row in A]
+    rank, det = 0, RatFunc.one()
+    for c in range(cols):
+        pivot = next((i for i in range(rank, len(M)) if not M[i][c].is_zero),
+                     None)
+        if pivot is None:
+            det = RatFunc.zero()
+            continue
+        M[rank], M[pivot] = M[pivot], M[rank]
+        if pivot != rank:
+            det = -det
+        p = M[rank][c]
+        det = det * p
+        M[rank] = [v / p for v in M[rank]]
+        for i in range(len(M)):
+            if i != rank:
+                f = M[i][c]
+                M[i] = [v - f * w for v, w in zip(M[i], M[rank])]
+        rank += 1
+    return rank, det, M
+
+
+def _dense_inverse(A):
+    n = len(A)
+    aug = [list(row) + list(irow) for row, irow in zip(A, mat.identity(n))]
+    rank, _, M = _dense_gauss_jordan(aug, n)
+    return [row[n:] for row in M] if rank == n else None
+
+
+def _assert_elimination_matches(A):
+    before = [list(row) for row in A]
+    rows, cols = mat.shape(A)
+    rank, det, _ = _dense_gauss_jordan(A, cols)
+    assert mat.rank(A) == rank
+    if rows == cols:
+        assert mat.det(A) == det
+        want = _dense_inverse(A)
+        if want is None:
+            with pytest.raises(ValueError, match="singular"):
+                mat.inverse(A)
+        else:
+            assert mat.eq(mat.inverse(A), want)
+    assert A == before
+
+
+@hypothesis.given(st.tuples(st.integers(1, 5), st.integers(1, 5)).flatmap(
+    lambda s: _matrices(_RF_ENTRIES, *s)))
+@hypothesis.settings(deadline=None, max_examples=150)
+def test_rank_matches_the_dense_elimination(A):
+    _assert_elimination_matches(A)
+
+
+@hypothesis.given(st.integers(1, 5).flatmap(
+    lambda n: _matrices(_RF_ENTRIES, n, n)))
+@hypothesis.settings(deadline=None, max_examples=100)
+def test_det_and_inverse_match_the_dense_elimination(A):
+    _assert_elimination_matches(A)
+
+
+def _structure_maps(n):
+    M = random_module(random.Random(n), n, 2)
+    N = random_module(random.Random(n + 10), 1, 2)
+    return [inclusion_i(M).P, projection_phi(M).P,
+            product_rule_map(M, N).P, dual_swap_g(M).P, embedding_E(M).P]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_maps_match_the_dense_elimination(n):
+    for P in _structure_maps(n):
+        _assert_elimination_matches(P)
+        _assert_elimination_matches(mat.transpose(P))
+
+
+@pytest.fixture
+def products(monkeypatch):
+    """The RatFunc products made from here on, as pairs of factors."""
+    calls = []
+    mul = RatFunc.__mul__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return mul(a, b)
+    monkeypatch.setattr(RatFunc, "__mul__", counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elimination_of_a_0_1_structure_map_makes_no_product(products, n):
+    maps = _structure_maps(n)[:4]  # all but the embedding's 1/2 entries
+    products.clear()
+    ranks = [mat.rank(P) for P in maps]
+    det = mat.det(maps[3])
+    inverse = mat.inverse(maps[3])
+    assert products == []
+    assert ranks == [n, n, 2 * n, 2 * n]
+    assert det == RatFunc.from_int((-1) ** n)
+    assert mat.eq(inverse, maps[3])
+
+
+@pytest.mark.parametrize("rows, rank, det", [
+    (["1, 1", "2, 2"], 1, "0"),
+    (["1, 1", "2, 3"], 2, "1"),
+    (["1, 1, 0", "x, x + 1, 0", "0, 1, 1"], 3, "1"),
+], ids=["rank-1", "unit-det", "x-factor"])
+def test_units_of_the_pivot_row_take_no_product(products, rows, rank, det):
+    # the pivot rows hold only zeros and units, so every product a row
+    # operation could make is by a unit
+    A, want = pmat([r.split(", ") for r in rows]), parse_expr(det)
+    products.clear()
+    got = mat.rank(A), mat.det(A)
+    assert products == []
+    assert got == (rank, want)
 
 
 # block layout of the six prolongation builders ---------------------------
