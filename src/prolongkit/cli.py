@@ -188,7 +188,10 @@ def cmd_check(args) -> int:
             raise InputError(f"--{option} must be >= {least}, got {value}")
     if name == "hopf" and args.group is None:
         raise InputError("check hopf needs --group ga|gm")
-    seed = (_resolve_seed(args),) if seeded else ()
+    seed = ()
+    if seeded:
+        # a module from --file is the one case, so nothing is drawn
+        seed = (None if args.file is not None else _resolve_seed(args),)
     kwargs = {kw: getattr(args, option) for option, kw in options.items()
               if getattr(args, option) is not None}
     if "module" in kwargs:

@@ -14,10 +14,15 @@ associate to the right and must reduce to integers at parse time.  There is
 no implicit multiplication.  Whitespace is insignificant; errors carry the
 byte offset of the offending token.
 
+The parser evaluates as it reduces, in one pass.  A syntax error anywhere
+wins over an evaluation error (a division by zero, a zero to a negative
+power, or a ValueError of the ring's own): the first evaluation failure is
+held until the whole text has parsed, so "1/0 )" reports the ')'.
+
 Nesting is capped at MAX_DEPTH levels: each unary minus, parenthesis or
 exponent puts its operand one level deeper, and input that goes deeper is a
-ParseError.  Long flat sums and products are not nesting; the parser loops
-over them and the evaluator folds them without recursion.
+ParseError.  Long flat sums and products are not nesting; the parser folds
+each operand into the running value inside one loop.
 """
 
 from __future__ import annotations
@@ -45,41 +50,6 @@ class ParseError(ExprError):
 
 class EvalError(ExprError):
     pass
-
-
-# AST ----------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class IntLit:
-    value: int
-    pos: int
-
-
-@dataclass(frozen=True)
-class Var:
-    name: str
-    pos: int
-
-
-@dataclass(frozen=True)
-class Neg:
-    operand: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class BinOp:
-    op: str
-    left: object
-    right: object
-    pos: int
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: object
-    exponent: int
-    pos: int
 
 
 # tokenizer ----------------------------------------------------------------
@@ -117,12 +87,17 @@ def _tokenize(text: str):
 
 
 class _Parser:
-    def __init__(self, text: str, names: tuple[str, ...]):
+    """Recursive descent in which each rule returns the value of the text
+    it consumed, built from the ring elements that leaf gives."""
+
+    def __init__(self, text: str, leaf):
         self.tokens = _tokenize(text)
         self.pos = 0
-        self.names = names
+        self.leaf = leaf
         # levels open around the current operand; the top level is 0
         self.depth = -1
+        # the first evaluation failure, raised once the whole text has parsed
+        self.failure = None
 
     def descend(self, off: int):
         """Enter one level of nesting; unary() and exponent() call this on
@@ -147,54 +122,82 @@ class _Parser:
             return True
         return False
 
+    def apply(self, op: str, off: int, a, b):
+        """a op b for op in '+-*/', or a^b for op '^' and an int b; an MPoly
+        meets the field only at '/' or a negative power.  After the first
+        failure, held in self.failure, every operation returns None."""
+        if self.failure is not None:
+            return None
+        try:
+            if op == "+":
+                return a + b
+            if op == "-":
+                return a - b
+            if op == "*":
+                return a * b
+            if op == "/":
+                if not b:
+                    raise EvalError("division by a zero expression", off)
+                if type(a) is MPoly and type(b) is MPoly:
+                    return RatFunc(a, b)
+                return a / b
+            if b < 0:
+                if not a:
+                    raise EvalError("zero raised to a negative power", off)
+                if type(a) is MPoly:
+                    a = RatFunc(a)
+            return a ** b
+        except ValueError as e:
+            self.failure = e
+            return None
+
     def parse(self):
-        node = self.additive()
-        kind, value, off = self.peek()
+        value = self.additive()
+        kind, token, off = self.peek()
         if kind != "END":
-            raise ParseError(f"unexpected token {value!r}", off)
-        return node
+            raise ParseError(f"unexpected token {token!r}", off)
+        if self.failure is not None:
+            raise self.failure
+        return value
 
     def additive(self):
-        node = self.multiplicative()
+        value = self.multiplicative()
         while True:
-            kind, value, off = self.peek()
-            if kind == "OP" and value in "+-":
-                self.pos += 1
-                rhs = self.multiplicative()
-                node = BinOp(value, node, rhs, off)
-            else:
-                return node
+            kind, op, off = self.peek()
+            if kind != "OP" or op not in "+-":
+                return value
+            self.pos += 1
+            value = self.apply(op, off, value, self.multiplicative())
 
     def multiplicative(self):
-        node = self.unary()
+        value = self.unary()
         while True:
-            kind, value, off = self.peek()
-            if kind == "OP" and value in "*/":
-                self.pos += 1
-                rhs = self.unary()
-                node = BinOp(value, node, rhs, off)
-            else:
-                return node
+            kind, op, off = self.peek()
+            if kind != "OP" or op not in "*/":
+                return value
+            self.pos += 1
+            value = self.apply(op, off, value, self.unary())
 
     def unary(self):
-        kind, value, off = self.peek()
+        kind, token, off = self.peek()
         self.descend(off)
-        if kind == "OP" and value == "-":
+        if kind == "OP" and token == "-":
             self.pos += 1
-            node = Neg(self.unary(), off)
+            value = self.unary()
+            if self.failure is None:
+                value = -value
         else:
-            node = self.power()
+            value = self.power()
         self.depth -= 1
-        return node
+        return value
 
     def power(self):
-        node = self.atom()
-        kind, value, off = self.peek()
-        if kind == "OP" and value == "^":
+        value = self.atom()
+        kind, token, off = self.peek()
+        if kind == "OP" and token == "^":
             self.pos += 1
-            e = self.exponent()
-            return Pow(node, e, off)
-        return node
+            return self.apply("^", off, value, self.exponent())
+        return value
 
     def exponent(self) -> int:
         kind, value, off = self.peek()
@@ -229,96 +232,42 @@ class _Parser:
         return e
 
     def atom(self):
-        kind, value, off = self.take()
+        kind, token, off = self.take()
         if kind == "INT":
-            return IntLit(int(value), off)
+            return self.leaf(int(token))
         if kind == "NAME":
-            if value not in self.names:
-                raise ParseError(f"unknown variable {value!r}", off)
-            return Var(value, off)
-        if kind == "OP" and value == "(":
-            node = self.additive()
+            try:
+                return self.leaf(token)
+            except KeyError:
+                raise ParseError(f"unknown variable {token!r}", off) from None
+        if kind == "OP" and token == "(":
+            value = self.additive()
             if not self.eat_op(")"):
                 k, v, o = self.peek()
                 raise ParseError(f"expected ')', got {v!r}", o)
-            return node
-        raise ParseError(f"unexpected token {value!r}" if value else "unexpected end of input", off)
+            return value
+        raise ParseError(f"unexpected token {token!r}" if token else "unexpected end of input", off)
 
 
-def parse_ast(text: str, names: tuple[str, ...] = ("x", "t")):
-    """Parse an expression to an AST without evaluating it."""
-    return _Parser(text, names).parse()
+def evaluate(text: str, leaf):
+    """Value of the expression text, where leaf maps an integer literal (an
+    int) or a name (a str) to a ring element and raises KeyError for a name
+    it does not know, which becomes an "unknown variable" ParseError."""
+    return _Parser(text, leaf).parse()
 
 
-def split_chain(node):
-    """(first operand, operators) of a chain of binary operators.
-
-    The parser builds a chain like a + b - c as a left-deep tree; folding
-    the operators' right operands onto the first operand, innermost
-    operator first, evaluates it without recursing along the chain, so an
-    evaluator recurses only through the nesting capped at MAX_DEPTH."""
-    ops = []
-    while type(node) is BinOp:
-        ops.append(node)
-        node = node.left
-    ops.reverse()
-    return node, ops
+_POLY_NAMES = {"x": MPoly.variable("x"), "t": MPoly.variable("t")}
 
 
-def _poly_leaf(node) -> MPoly:
-    if type(node) is IntLit:
-        return MPoly.const(node.value)
-    return MPoly.variable(node.name)
-
-
-def evaluate(node, leaf=_poly_leaf):
-    """Value of an AST whose integer literals and variables leaf maps to
-    ring elements; '/' and negative powers go through the ring's own
-    division.  With the default leaf the value is an integer MPoly until a
-    '/' or a negative power needs the field, a RatFunc from there on; mixed
-    operands meet in RatFunc's arithmetic, which converts the MPoly once."""
-    node, ops = split_chain(node)
-    if type(node) is IntLit or type(node) is Var:
-        value = leaf(node)
-    elif type(node) is Neg:
-        value = -evaluate(node.operand, leaf)
-    elif type(node) is Pow:
-        value = evaluate(node.base, leaf)
-        e = node.exponent
-        if e < 0:
-            if not value:
-                raise EvalError("zero raised to a negative power", node.pos)
-            if type(value) is MPoly:
-                value = RatFunc(value)
-        value = value ** e
-    else:
-        raise TypeError(f"not an expression node: {node!r}")
-    for op in ops:
-        rhs = evaluate(op.right, leaf)
-        if op.op == "+":
-            value = value + rhs
-        elif op.op == "-":
-            value = value - rhs
-        elif op.op == "*":
-            value = value * rhs
-        elif not rhs:
-            raise EvalError("division by a zero expression", op.pos)
-        elif type(value) is MPoly and type(rhs) is MPoly:
-            value = RatFunc(value, rhs)
-        else:
-            value = value / rhs
-    return value
-
-
-def eval_ratfunc(node) -> RatFunc:
-    """Evaluate an AST in x and t over the rational-function field."""
-    value = evaluate(node)
-    return RatFunc(value) if type(value) is MPoly else value
+def _poly_leaf(token) -> MPoly:
+    return MPoly.const(token) if type(token) is int else _POLY_NAMES[token]
 
 
 def parse_expr(text: str) -> RatFunc:
-    """Parse an expression in x and t into a canonical RatFunc."""
-    return eval_ratfunc(parse_ast(text))
+    """Parse an expression in x and t into a canonical RatFunc; the value
+    is an integer MPoly until a '/' or a negative power needs the field."""
+    value = evaluate(text, _poly_leaf)
+    return RatFunc(value) if type(value) is MPoly else value
 
 
 # rendering ----------------------------------------------------------------

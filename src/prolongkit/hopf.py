@@ -270,10 +270,6 @@ def _higher(e: DiffPoly, mono) -> list[int]:
     return [exp for k, exp in enumerate(mono) if k % (e.order + 1)]
 
 
-def derive(e: DiffPoly) -> DiffPoly:
-    return e.derive()
-
-
 # axiom checking -----------------------------------------------------------
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ SolExpr is a ratfield.Sparse over the monomials (a, b).  A RatFunc is a
 scalar on either side of '*', so matrices.mul multiplies a RatFunc system
 matrix by a SolExpr matrix, and matrices.deriv and matrices.prolongation
 take SolExpr matrices as they are.  Solution documents go through
-exprparse.evaluate, the evaluator of module documents, with SolExpr leaves.
+exprparse.evaluate, the one-pass parser and evaluator of module documents,
+with SolExpr leaves.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from . import exprparse
 from . import matrices as mat
 from .diffmod import DiffModule
 from .exprparse import ExprError, validate_doc
-from .ratfield import MPoly, RatFunc, Sparse
+from .ratfield import RatFunc, Sparse
 
 
 class UnrepresentableSolutionError(ValueError):
@@ -240,23 +241,21 @@ def xt_example() -> tuple[DiffModule, list[list[SolExpr]]]:
 
 # parsing solution documents -----------------------------------------------
 
-SOLUTION_NAMES = ("x", "t", "theta", "lam")
+_SOLUTION_NAMES = {"x": SolExpr.from_ratfunc(RatFunc.var_x()),
+                   "t": SolExpr.from_ratfunc(RatFunc.var_t()),
+                   "theta": SolExpr.theta(), "lam": SolExpr.lam()}
 
 
-def _solution_leaf(node) -> SolExpr:
-    """An integer literal or one of SOLUTION_NAMES in the term algebra."""
-    if type(node) is exprparse.IntLit:
-        return SolExpr.from_ratfunc(RatFunc.from_int(node.value))
-    if node.name == "theta":
-        return SolExpr.theta()
-    if node.name == "lam":
-        return SolExpr.lam()
-    return SolExpr.from_ratfunc(RatFunc(MPoly.variable(node.name)))
+def _solution_leaf(token) -> SolExpr:
+    """An integer literal or a name in the term algebra; KeyError for a
+    name outside _SOLUTION_NAMES."""
+    if type(token) is int:
+        return SolExpr.from_ratfunc(RatFunc.from_int(token))
+    return _SOLUTION_NAMES[token]
 
 
 def parse_solution(text: str) -> SolExpr:
-    return exprparse.evaluate(exprparse.parse_ast(text, SOLUTION_NAMES),
-                              _solution_leaf)
+    return exprparse.evaluate(text, _solution_leaf)
 
 
 def load_solution(data) -> list[list[SolExpr]]:

@@ -168,6 +168,17 @@ def test_check_exactness_from_file(capsys, xt_file):
     code, report, _ = run(capsys, "check", "exactness", "--file", xt_file)
     assert code == 0
     assert report["result"]["cases"] == 1
+    # the file's module is the one case, so no seed or draw size is used
+    assert report["inputs"]["seed"] is None
+    assert report["result"]["details"] == {}
+
+
+def test_check_from_a_file_reads_no_seed_env_var(capsys, monkeypatch,
+                                                 xt_file):
+    monkeypatch.setenv("PROLONGKIT_SEED", "abc")
+    code, report, _ = run(capsys, "check", "exactness", "--file", xt_file)
+    assert code == 0
+    assert report["inputs"]["seed"] is None
 
 
 def test_check_hopf(capsys):
@@ -319,6 +330,25 @@ BAD_ENTRY_ERRORS = {
     ("x/theta", "solution"):
         "error: {path}: entry (0,1): division by a theta/lam expression is "
         "outside the term algebra",
+    # an entry with an evaluation error and a later syntax error reports
+    # the syntax error
+    ("x/(t - t) )", "module"):
+        "error: {path}: entry (0,1): unexpected token ')' (byte 10)",
+    ("x/(t - t) )", "solution"):
+        "error: {path}: entry (0,1): unexpected token ')' (byte 10)",
+    ("(x - x)^-1 + y", "module"):
+        "error: {path}: entry (0,1): unknown variable 'y' (byte 13)",
+    ("(x - x)^-1 + y", "solution"):
+        "error: {path}: entry (0,1): unknown variable 'y' (byte 13)",
+    ("1/theta +", "module"):
+        "error: {path}: entry (0,1): unknown variable 'theta' (byte 2)",
+    ("1/theta +", "solution"):
+        "error: {path}: entry (0,1): unexpected end of input (byte 9)",
+    ("x/(lam - lam) + x^t", "module"):
+        "error: {path}: entry (0,1): unknown variable 'lam' (byte 3)",
+    ("x/(lam - lam) + x^t", "solution"):
+        "error: {path}: entry (0,1): exponent must be an integer literal "
+        "(byte 18)",
 }
 
 
@@ -385,7 +415,8 @@ def test_python_dash_m_runs_the_cli():
 # with a traceback.  Integer options stay small to bound the work.
 _ENTRIES = ("0", "1", "x", "t", "t/x", "1/x", "x^2-t", "1/(x-t)", "(x+t)^-2",
             "theta", "lam", "theta*x", "1/theta", "lam^-1")
-_BAD_ENTRIES = ("x^", "(", "", "1/0", "x/(t-t)", "2^-1.5", "q", "x^99999999")
+_BAD_ENTRIES = ("x^", "(", "", "1/0", "x/(t-t)", "2^-1.5", "q", "x^99999999",
+                "1/0 )")
 _SHAPES = (b"", b"[]", b"not json", b"\xff", b'{"n": 0, "matrix": []}',
            b'{"n": 1, "matrix": [[1]]}', b'{"n": 2, "matrix": [["0"]]}',
            b'{"n": true, "matrix": [["0"]]}', b'{"n": 1, "matrix": [["x"]], '

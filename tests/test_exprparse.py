@@ -1,13 +1,14 @@
+import ast
 import random
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from prolongkit.exprparse import (MAX_DEPTH, BinOp, EvalError, ExprError,
-                                  IntLit, ModuleDoc, ModuleDocError, Neg,
-                                  ParseError, Pow, Var, _tokenize, load_module,
-                                  parse_ast, parse_expr, render)
+from prolongkit.exprparse import (MAX_DEPTH, MAX_EXPONENT, EvalError,
+                                  ExprError, ModuleDoc, ModuleDocError,
+                                  ParseError, _tokenize, load_module,
+                                  parse_expr, render)
 from prolongkit.ratfield import MPoly, RatFunc
 from prolongkit.sampling import random_ratfunc
 
@@ -120,34 +121,63 @@ def test_parser_total(text):
         pass
 
 
-# the evaluator against a RatFunc-only reference ----------------------------
+# the evaluator against Python's parser and RatFunc arithmetic -------------
 
-def reference_eval(node) -> RatFunc:
-    """Every AST node evaluated straight to a canonical RatFunc."""
-    if isinstance(node, IntLit):
+# On the strategy's language below, '^' read as Python's '**' has the same
+# precedence and associativity, so ast.parse of the text with '^' -> '**'
+# gives the grammar's tree without any of exprparse's code.
+
+def reference_exponent(node):
+    """The integer an exponent denotes, or None where the grammar rejects it:
+    a negative exponent inside a tower, or a value beyond MAX_EXPONENT."""
+    if isinstance(node, ast.Constant):
+        e = node.value
+    elif isinstance(node, ast.UnaryOp):
+        e = reference_exponent(node.operand)
+        e = None if e is None else -e
+    else:
+        base = reference_exponent(node.left)
+        e = reference_exponent(node.right)
+        if base is None or e is None or e < 0 or (abs(base) > 1 and e > 63):
+            return None
+        e = base ** e
+    return e if e is None or abs(e) <= MAX_EXPONENT else None
+
+
+def reference_eval(node, src: str) -> RatFunc:
+    """Value of a Python expression tree over the rational-function field;
+    an EvalError's offset is that of the '/' or '^' between the operands,
+    in the text before '^' became '**'."""
+    if isinstance(node, ast.Constant):
         return RatFunc.from_int(node.value)
-    if isinstance(node, Var):
-        return RatFunc(MPoly.variable(node.name))
-    if isinstance(node, Neg):
-        return -reference_eval(node.operand)
-    if isinstance(node, BinOp):
-        a = reference_eval(node.left)
-        b = reference_eval(node.right)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if b.is_zero:
-            raise EvalError("division by a zero expression", node.pos)
-        return a / b
-    if isinstance(node, Pow):
-        base = reference_eval(node.base)
-        if node.exponent < 0 and base.is_zero:
-            raise EvalError("zero raised to a negative power", node.pos)
-        return base ** node.exponent
-    raise TypeError(f"not an expression node: {node!r}")
+    if isinstance(node, ast.Name):
+        return RatFunc(MPoly.variable(node.id))
+    if isinstance(node, ast.UnaryOp):
+        return -reference_eval(node.operand, src)
+    a = reference_eval(node.left, src)
+    if isinstance(node.op, ast.Pow):
+        e = reference_exponent(node.right)
+        if e < 0 and a.is_zero:
+            raise EvalError("zero raised to a negative power",
+                            _operator_offset(node, "**", src))
+        return a ** e
+    b = reference_eval(node.right, src)
+    if isinstance(node.op, ast.Add):
+        return a + b
+    if isinstance(node.op, ast.Sub):
+        return a - b
+    if isinstance(node.op, ast.Mult):
+        return a * b
+    if b.is_zero:
+        raise EvalError("division by a zero expression",
+                        _operator_offset(node, "/", src))
+    return a / b
+
+
+def _operator_offset(node, op: str, src: str) -> int:
+    """Offset of node's operator in the text before '^' became '**'."""
+    pos = src.index(op, node.left.end_col_offset, node.right.col_offset)
+    return pos - src.count("**", 0, pos)
 
 
 def _combine(parts):
@@ -174,10 +204,25 @@ _exprs = st.recursive(
 
 
 @hypothesis.given(_exprs)
+@hypothesis.example("1/0 )")
+@hypothesis.example("x^2^-1")
+@hypothesis.example("(x - x)^-1 * 2^3^3^3")
 @hypothesis.settings(deadline=None, max_examples=300)
 def test_evaluator_matches_ratfunc_reference(text):
+    src = text.replace("^", "**")
     try:
-        want = reference_eval(parse_ast(text))
+        tree = ast.parse(src, mode="eval").body
+    except SyntaxError:
+        tree = None
+    # a syntax error anywhere wins over an evaluation error
+    if tree is None or any(
+            isinstance(n, ast.BinOp) and isinstance(n.op, ast.Pow)
+            and reference_exponent(n.right) is None for n in ast.walk(tree)):
+        with pytest.raises(ParseError):
+            parse_expr(text)
+        return
+    try:
+        want = reference_eval(tree, src)
     except ExprError as e:
         with pytest.raises(ExprError) as got:
             parse_expr(text)
