@@ -54,6 +54,21 @@ def _emit(report: dict, summary: str, code: int) -> int:
     return code
 
 
+def _emit_module(command: str, inputs: dict, out, start: float,
+                 summary: str) -> int:
+    """Report the module out; an integer in it past the interpreter's limit
+    on int -> str conversion cannot be printed, an input error."""
+    try:
+        result = {"n": out.n, "matrix": render_matrix(out.A)}
+    except ValueError as e:
+        raise InputError("result has an integer too long to print (more "
+                         f"than {sys.get_int_max_str_digits()} digits)") from e
+    report = {"command": command, "inputs": inputs, "outcome": "result",
+              "result": result}
+    elapsed = time.perf_counter() - start
+    return _emit(report, f"{command}: {summary} in {elapsed:.3f}s", 0)
+
+
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
@@ -77,16 +92,11 @@ def cmd_prolong(args) -> int:
         out = prolong_lemma(M, args.i)
     else:
         out = iterate_F(M, args.i)
-    report = {
-        "command": "prolong",
-        "inputs": {"file": args.file, "i": args.i, "kind": args.kind,
-                   "name": M.name},
-        "outcome": "result",
-        "result": {"n": out.n, "matrix": render_matrix(out.A)},
-    }
-    elapsed = time.perf_counter() - start
-    return _emit(report, f"prolong: {M.n}x{M.n} -> {out.n}x{out.n} "
-                         f"({args.kind}, i={args.i}) in {elapsed:.3f}s", 0)
+    inputs = {"file": args.file, "i": args.i, "kind": args.kind,
+              "name": M.name}
+    return _emit_module("prolong", inputs, out, start,
+                        f"{M.n}x{M.n} -> {out.n}x{out.n} "
+                        f"({args.kind}, i={args.i})")
 
 
 def cmd_verify(args) -> int:
@@ -219,14 +229,7 @@ def _binary_command(args, op, label: str) -> int:
     inputs = {"a": args.a, "a_name": modules[0].name}
     if args.b is not None:
         inputs.update(b=args.b, b_name=modules[1].name)
-    report = {
-        "command": label,
-        "inputs": inputs,
-        "outcome": "result",
-        "result": {"n": out.n, "matrix": render_matrix(out.A)},
-    }
-    elapsed = time.perf_counter() - start
-    return _emit(report, f"{label}: -> {out.n}x{out.n} in {elapsed:.3f}s", 0)
+    return _emit_module(label, inputs, out, start, f"-> {out.n}x{out.n}")
 
 
 # argument plumbing --------------------------------------------------------

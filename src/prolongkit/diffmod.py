@@ -32,19 +32,14 @@ from .ratfield import Fraction, RatFunc
 class DiffModule:
     """Finite-dimensional differential module, presented by its matrix."""
 
-    __slots__ = ("n", "A", "basis_labels", "name")
+    __slots__ = ("n", "A", "name")
 
-    def __init__(self, A, basis_labels=None, name=None):
+    def __init__(self, A, name=None):
         n = len(A)
         if n == 0 or any(len(row) != n for row in A):
             raise ValueError("module matrix must be square and nonempty")
-        if basis_labels is not None:
-            basis_labels = tuple(basis_labels)
-            if len(basis_labels) != n:
-                raise ValueError("one basis label per dimension")
         self.n = n
         self.A = [list(row) for row in A]
-        self.basis_labels = basis_labels
         self.name = name
 
     def __eq__(self, other) -> bool:

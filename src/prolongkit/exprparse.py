@@ -61,9 +61,13 @@ _TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<INT>[0-9]+)"
                     r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
                     r"|(?P<OP>[-+*/^()])|(?P<BAD>.)|\Z)", re.DOTALL)
 
-# integer literals are unbounded; exponents are capped so a degenerate
-# tower like 9^9^9 cannot blow up at parse time
+# exponents are capped so a degenerate tower like 9^9^9 cannot blow up at
+# parse time
 MAX_EXPONENT = 10 ** 6
+
+# an integer literal may have at most this many digits, the interpreter's
+# default limit on int <-> str conversion, which bounds its quadratic cost
+MAX_DIGITS = 4300
 
 # the parser recurses through about five frames per level of parentheses,
 # so this keeps every accepted expression well inside the interpreter's
@@ -82,6 +86,9 @@ def _tokenize(text: str):
             break
         if kind == "BAD":
             raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
+        if kind == "INT" and len(m[kind]) > MAX_DIGITS:
+            raise ParseError(f"integer literal of more than {MAX_DIGITS} "
+                             "digits", m.start(kind))
         tokens.append((kind, m[kind], m.start(kind)))
     return tokens
 

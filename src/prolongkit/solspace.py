@@ -22,6 +22,7 @@ with SolExpr leaves.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 from . import exprparse
 from . import matrices as mat
@@ -190,24 +191,18 @@ def unweighted_prolongation(Y, i: int):
     return mat.prolongation(Y, i, lambda r, c: 1)
 
 
+@dataclass(frozen=True)
 class FundamentalCheck:
     """Outcome of verify_fundamental: the transport identity d_x Y = A Y
     checked entrywise, plus formal invertibility of Y."""
 
-    __slots__ = ("derivative_ok", "first_mismatch", "det_ok")
-
-    def __init__(self, derivative_ok, first_mismatch, det_ok):
-        self.derivative_ok = derivative_ok
-        self.first_mismatch = first_mismatch
-        self.det_ok = det_ok
+    derivative_ok: bool
+    first_mismatch: tuple[int, int] | None
+    det_ok: bool
 
     @property
     def passed(self) -> bool:
         return self.derivative_ok and self.det_ok
-
-    def __repr__(self) -> str:
-        return (f"FundamentalCheck(derivative_ok={self.derivative_ok}, "
-                f"first_mismatch={self.first_mismatch}, det_ok={self.det_ok})")
 
 
 def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:

@@ -399,6 +399,60 @@ def test_flat_sum_entry_evaluates(capsys, tmp_path):
     assert report["result"]["matrix"] == [["3000*x"]]
 
 
+LONG_LITERAL = "7" * 5000
+
+
+@pytest.mark.parametrize("entry, offset", [
+    (LONG_LITERAL, 0), (f"x^{LONG_LITERAL}", 2), (f"1/(x - {LONG_LITERAL})", 7),
+], ids=["atom", "exponent", "denominator"])
+@pytest.mark.parametrize("doc", ["module", "solution"])
+def test_too_long_integer_literal_is_input_error(capsys, tmp_path, entry,
+                                                 offset, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"n": 1, "matrix": [[entry]]}))
+    if doc == "module":
+        argv = ["prolong", str(bad), "-i", "1"]
+    else:
+        mod = tmp_path / "m.json"
+        mod.write_text('{"n": 1, "matrix": [["0"]]}')
+        argv = ["verify", str(mod), "-i", "1", "--solution", str(bad)]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == (f"error: {bad}: entry (0,0): integer literal of more "
+                       f"than 4300 digits (byte {offset})\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong", "{big}", "-i", "1"],
+    ["dual", "{big}"],
+    ["tensor", "{big}", "{big}"],
+    ["dsum", "{big}", "{big}"],
+], ids=["prolong", "dual", "tensor", "dsum"])
+def test_result_too_long_to_print_is_input_error(capsys, tmp_path, argv):
+    big = tmp_path / "big.json"
+    big.write_text(json.dumps({"n": 1, "matrix": [["7^6000"]]}))
+    code = main([a.format(big=big) for a in argv])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == ("error: result has an integer too long to print "
+                       "(more than 4300 digits)\n")
+
+
+def test_solution_with_a_huge_value_verifies(capsys, tmp_path):
+    # the value is never printed, so its size is no error
+    mod = tmp_path / "m.json"
+    mod.write_text('{"n": 1, "matrix": [["0"]]}')
+    sol = tmp_path / "sol.json"
+    sol.write_text(json.dumps({"n": 1, "matrix": [["7^6000"]]}))
+    code, report, _ = run(capsys, "verify", str(mod), "-i", "1",
+                          "--solution", str(sol))
+    assert code == 0
+    assert report["outcome"] == "pass"
+
+
 def test_python_dash_m_runs_the_cli():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)

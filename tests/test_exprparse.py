@@ -5,10 +5,10 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from prolongkit.exprparse import (MAX_DEPTH, MAX_EXPONENT, EvalError,
-                                  ExprError, ModuleDoc, ModuleDocError,
-                                  ParseError, _tokenize, load_module,
-                                  parse_expr, render)
+from prolongkit.exprparse import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
+                                  EvalError, ExprError, ModuleDoc,
+                                  ModuleDocError, ParseError, _tokenize,
+                                  load_module, parse_expr, render)
 from prolongkit.ratfield import MPoly, RatFunc
 from prolongkit.sampling import random_ratfunc
 
@@ -248,6 +248,17 @@ def test_nesting_limit():
         with pytest.raises(ParseError) as e:
             parse_expr(text)
         assert "nests deeper" in e.value.message
+
+
+def test_integer_literal_length_limit():
+    assert parse_expr("1" + "0" * (MAX_DIGITS - 1)) == RatFunc.from_int(
+        10 ** (MAX_DIGITS - 1))
+    for text, offset in (("1" + "0" * MAX_DIGITS, 0), ("x^(" + "0" * 5000, 3),
+                         ("x +* " + "9" * 9000, 5)):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text)
+        assert (e.value.message, e.value.offset) == (
+            f"integer literal of more than {MAX_DIGITS} digits", offset)
 
 
 def test_long_flat_chains_evaluate():

@@ -83,6 +83,8 @@ def test_unweighted_prolongation_fails_from_order_2():
     chk = verify_fundamental(prolong(M, 2), unweighted_prolongation(Y, 2))
     assert not chk.passed
     assert chk.first_mismatch == (2, 1)
+    assert repr(chk) == ("FundamentalCheck(derivative_ok=False, "
+                         "first_mismatch=(2, 1), det_ok=True)")
 
 
 def test_constant_module_prolonged_solution_is_diagonal():
