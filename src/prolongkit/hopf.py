@@ -153,6 +153,10 @@ class DiffPoly(Sparse):
         self._same_shape(other)
         return Sparse.__add__(self, other)
 
+    def __sub__(self, other: DiffPoly) -> DiffPoly:
+        self._same_shape(other)
+        return Sparse.__sub__(self, other)
+
     def __mul__(self, other: DiffPoly) -> DiffPoly:
         self._same_shape(other)
         return Sparse.__mul__(self, other)
@@ -234,10 +238,10 @@ def _antipode_table(group: str, order: int, printed: bool = False) -> list[DiffP
     return [-DiffPoly.generator(group, order, j) for j in range(order + 1)]
 
 
-def _counit_value(group: str, j: int) -> Fraction:
-    if group == GM:
-        return Fraction(1) if j == 0 else Fraction(0)
-    return Fraction(0)
+def _counit_table(group: str, order: int) -> list[DiffPoly]:
+    """eps(y_j) as 1-leg constants: 1 for gm's y_0, 0 otherwise."""
+    return [DiffPoly.constant(group, order, int(group == GM and j == 0))
+            for j in range(order + 1)]
 
 
 def coproduct(e: DiffPoly) -> DiffPoly:
@@ -255,19 +259,9 @@ def antipode(e: DiffPoly, printed: bool = False) -> DiffPoly:
 
 
 def counit(e: DiffPoly) -> Fraction:
-    """Counit into Q."""
-    total = Fraction(0)
-    for mono, c in e.terms.items():
-        # eps(y_0) = 1 for gm absorbs any power; everything else kills
-        if not any(mono if e.group == GA else _higher(e, mono)):
-            total += c
-    return total
-
-
-def _higher(e: DiffPoly, mono) -> list[int]:
-    """The exponents of y_j with j >= 1, in every leg, of one of e's
-    monomials."""
-    return [exp for k, exp in enumerate(mono) if k % (e.order + 1)]
+    """Counit into Q: substitutes eps(y_j) for y_j in every leg."""
+    value = _substitute(e, [_counit_table(e.group, e.order)] * e.legs, 1)
+    return Fraction(value.terms.get((0,) * (e.order + 1), 0))
 
 
 # axiom checking -----------------------------------------------------------
@@ -337,8 +331,7 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
     # of leg l in the L-leg algebra
     y = {L: [[DiffPoly.generator(group, order, j, leg=l, legs=L)
               for j in range(order + 1)] for l in range(L)] for L in (1, 2, 3)}
-    eps = [DiffPoly.constant(group, order, _counit_value(group, j))
-           for j in range(order + 1)]
+    eps = _counit_table(group, order)
     delta = _delta_table(group, order)
     delta_01 = [_substitute(d, y[3][:2], 3) for d in delta]
     delta_12 = [_substitute(d, y[3][1:], 3) for d in delta]
@@ -397,8 +390,9 @@ def reduce_mod_derivatives(e: DiffPoly) -> DiffPoly:
     y_j = 0 for every j >= 1, in every leg.  Multiplicative group only."""
     if e.group != GM:
         raise ValueError("reduction is defined for the multiplicative group")
-    return e._like({mono: c for mono, c in e.terms.items()
-                    if not any(_higher(e, mono))})
+    zero = DiffPoly.zero(GM, e.order, e.legs)
+    return _substitute(e, [[DiffPoly.generator(GM, e.order, 0, leg, e.legs)]
+                           + [zero] * e.order for leg in range(e.legs)], e.legs)
 
 
 def subgroup_defining_poly(order: int = 2) -> DiffPoly:

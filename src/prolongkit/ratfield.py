@@ -7,13 +7,13 @@ Four layers live here:
             adding them entry by entry) to nonzero coefficients, with the
             ring operations on it.  MPoly, solspace's SolExpr and hopf's
             DiffPoly are its subclasses,
-  MPoly     sparse polynomials in x and t over Q; a coefficient is a plain
-            int when it is an integer and a Fraction only when it has a
-            denominator,
-  RatFunc   rational functions kept in canonical form (coprime integer
-            polynomials with no shared integer factor; the denominator's
-            leading coefficient under lexicographic order with x > t is
-            positive), so that structural equality decides field equality,
+  MPoly     sparse polynomials in x and t over Q with int or Fraction
+            coefficients, specialising only the product,
+  RatFunc   rational functions kept in canonical form (coprime polynomials
+            with int coefficients and no shared integer factor; the
+            denominator's leading coefficient under lexicographic order with
+            x > t is positive), so that structural equality decides field
+            equality,
   LinDiffOp linear differential operators sum a_q * d^q in a single
             derivation, with the noncommutative product d * a = a * d + a'.
 
@@ -79,7 +79,15 @@ class Sparse:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self + -other
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = out.get(key)
+            v = -c if v is None else v - c
+            if v:
+                out[key] = v
+            else:
+                del out[key]
+        return self._like(out)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -127,13 +135,14 @@ class Sparse:
 class MPoly(Sparse):
     """Sparse polynomial in x, t over Q.
 
-    ``terms`` maps (deg_x, deg_t) to a nonzero coefficient: a plain int when
-    the coefficient is an integer, a Fraction only when it has a
-    denominator, so integer polynomials (every RatFunc numerator and
-    denominator) run on machine-level int arithmetic.  The sum, difference,
-    product and scaling override the base's with loops specialised to
-    these keys and coefficients; the benchmark's tracer finds them by name
-    in MPoly's own class dict, so they stay defined here.
+    ``terms`` maps (deg_x, deg_t) to a nonzero int or Fraction.  The
+    constructor, which takes only ints and Fractions, stores an integer
+    coefficient as an int; arithmetic on polynomials with Fraction
+    coefficients may leave a Fraction(k, 1), which compares and hashes
+    equal to k.  RatFunc's constructor clears such values, so every RatFunc
+    numerator and denominator has int coefficients and runs on plain int
+    arithmetic.  The product is the one loop specialised to these keys;
+    the sum, difference and scaling are the base's.
     """
 
     __slots__ = ()
@@ -142,11 +151,11 @@ class MPoly(Sparse):
         clean: dict[Term, int | Fraction] = {}
         if terms:
             for key, c in terms.items():
+                if type(c) is not int:
+                    c = Fraction(_scalar(c))
+                    if c.denominator == 1:
+                        c = c.numerator
                 if c:
-                    if type(c) is not int:
-                        c = Fraction(c)
-                        if c.denominator == 1:
-                            c = c.numerator
                     clean[key] = c
         self.terms = clean
 
@@ -190,21 +199,8 @@ class MPoly(Sparse):
     def __repr__(self) -> str:
         return f"MPoly({self.terms!r})"
 
-    def __add__(self, other: MPoly) -> MPoly:
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return MPoly(out)
-
-    def __sub__(self, other: MPoly) -> MPoly:
-        if not isinstance(other, MPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) - c
-        return MPoly(out)
+    # the benchmark's tracer finds the sum by name in this class's dict
+    __add__ = Sparse.__add__
 
     def __mul__(self, other: MPoly) -> MPoly:
         if not isinstance(other, MPoly):
@@ -215,12 +211,10 @@ class MPoly(Sparse):
             for (bx, bt), bc in B:
                 key = (ax + bx, at + bt)
                 acc[key] = acc.get(key, 0) + ac * bc
-        return MPoly(acc)
+        return _poly({k: c for k, c in acc.items() if c})
 
     def scale(self, c) -> MPoly:
-        if type(c) is not int:
-            c = Fraction(c)
-        return MPoly({k: v * c for k, v in self.terms.items()})
+        return Sparse.scale(self, _scalar(c))
 
     def deriv(self, var: str) -> MPoly:
         idx = 0 if var == "x" else 1
@@ -230,7 +224,7 @@ class MPoly(Sparse):
             if e:
                 key = (dx - 1, dt) if idx == 0 else (dx, dt - 1)
                 out[key] = c * e
-        return MPoly(out)
+        return _poly(out)
 
     def exact_div(self, d: MPoly) -> MPoly:
         """Exact quotient self / d; raises ValueError if d does not divide.
@@ -261,15 +255,22 @@ class MPoly(Sparse):
                     r[kk] = v
                 else:
                     del r[kk]
-        return MPoly(q)
+        return _poly(q)
 
 
 def _poly(terms: dict[Term, int | Fraction]) -> MPoly:
-    """MPoly over a map that already holds only nonzero, normalised
-    coefficients; skips the constructor's per-term checks."""
+    """MPoly over a map that already holds only nonzero coefficients;
+    skips the constructor's per-term checks."""
     p = object.__new__(MPoly)
     p.terms = terms
     return p
+
+
+def _scalar(c):
+    """c itself when it is an int or a Fraction; TypeError otherwise."""
+    if not isinstance(c, (int, Fraction)):
+        raise TypeError(f"expected an int or a Fraction, not {type(c).__name__}")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +449,12 @@ class RatFunc:
             return
         # with _reduce=False the caller passes coprime integer polynomials
         if _reduce:
-            # clear coefficient denominators of both at once, then cancel
-            l = math.lcm(*[c.denominator for c in num.terms.values()],
-                         *[c.denominator for c in den.terms.values()])
-            if l != 1:
-                num, den = num.scale(l), den.scale(l)
+            # clear denominators of both at once to int coefficients, cancel
+            cs = [*num.terms.values(), *den.terms.values()]
+            if any(type(c) is not int for c in cs):
+                l = math.lcm(*[c.denominator for c in cs])
+                num = _poly({k: (c * l).numerator for k, c in num.terms.items()})
+                den = _poly({k: (c * l).numerator for k, c in den.terms.items()})
             if den.terms != _ONE_TERMS:
                 _, num, den = gcd(num, den)
         # canonical scaling: strip the common integer content and make the
@@ -673,7 +675,7 @@ class LinDiffOp:
     def __init__(self, var: str, coeffs):
         if var not in ("x", "t"):
             raise ValueError(f"unknown derivation {var!r}")
-        cs = [c if isinstance(c, RatFunc) else _coerce(c) for c in coeffs]
+        cs = [c if isinstance(c, RatFunc) else RatFunc(c) for c in coeffs]
         while cs and cs[-1].is_zero:
             cs.pop()
         self.var = var

@@ -121,6 +121,8 @@ def test_mixed_shapes_rejected():
         gen(GA, 2, 0) + gen(GM, 2, 0)
     with pytest.raises(ValueError):
         gen(GA, 2, 0) * gen(GA, 3, 0)
+    with pytest.raises(ValueError):
+        gen(GA, 2, 0) - gen(GA, 2, 0, legs=2)
 
 
 # printed text, pinned ----------------------------------------------------

@@ -91,7 +91,7 @@ def test_terms_compare_equal_to_fractions():
     x, t = MPoly.variable("x"), MPoly.variable("t")
     half = x.scale(Fraction(1, 2))
     assert half.terms == {(1, 0): Fraction(1, 2)}
-    # a Fraction that cancels to an integer leaves an integer coefficient
+    # a Fraction that cancels to an integer compares equal to that integer
     assert half.scale(2).terms == {(1, 0): Fraction(1)}
     assert half.scale(2) == x
     f = RatFunc(MPoly({(1, 0): Fraction(4, 2)}), MPoly({(0, 1): Fraction(6)}))
@@ -118,6 +118,48 @@ def test_mpoly_operators_reject_other_operands():
     assert x - T == X - T
     assert x * T == X * T
     assert t / X == T / X
+
+
+def test_mpoly_keeps_only_the_product_of_its_own():
+    # the sum is the base's, rebound here only so that it is found by name
+    assert vars(MPoly)["__add__"] is ratfield.Sparse.__add__
+    assert "__sub__" not in vars(MPoly)
+
+
+def test_constructors_take_only_ints_and_fractions():
+    x = MPoly.variable("x")
+    for bad in (0.5, 0.0, "1/2", 1j):
+        with pytest.raises(TypeError):
+            MPoly({(0, 0): bad})
+        with pytest.raises(TypeError):
+            x.scale(bad)
+        with pytest.raises(TypeError):
+            RatFunc(bad)
+        with pytest.raises(TypeError):
+            RatFunc(x, bad)
+    assert RatFunc(Fraction(1, 2)) == RatFunc(MPoly.one(), MPoly.const(2))
+
+
+def test_operator_coefficients_must_be_field_elements():
+    for bad in (0.5, "x", None):
+        with pytest.raises(TypeError):
+            LinDiffOp("x", [bad])
+        with pytest.raises(TypeError):
+            LinDiffOp("t", [RatFunc.one(), bad])
+    assert LinDiffOp("x", [1, Fraction(1, 2), MPoly.variable("t")]) == LinDiffOp(
+        "x", [RatFunc.one(), RatFunc.from_fraction(Fraction(1, 2)), T])
+
+
+def test_fraction_arithmetic_meets_the_field_with_int_coefficients():
+    h = MPoly({(1, 0): Fraction(1, 2)})
+    # the sum keeps a Fraction(1, 1); the field clears it
+    assert type((h + h).terms[(1, 0)]) is Fraction
+    f = RatFunc(h + h)
+    assert_canonical(f)
+    assert f == X
+    g = RatFunc(h * h - h, (h + h).scale(Fraction(3)))
+    assert_canonical(g)
+    assert g == (X - 2) / 12
 
 
 def test_zero_denominator_raises():
