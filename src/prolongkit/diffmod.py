@@ -13,12 +13,16 @@ which is what is_morphism checks.  Three prolongation shapes appear:
   prolong        block (r, c) = C(r, c) * d_t^(r-c) A          (binomial)
   prolong_lemma  block (r, c) = C(i-c, r-c) * d_t^(r-c) A      (one-step form,
                  basis ordered highest t-derivative first)
-  iterate_F      k-fold iteration of B -> [[B, 0], [B_t, B]],  dimension 2^k n
+  iterate_F      k-fold iteration of B -> [[B, 0], [B_t, B]],  dimension 2^k n;
+                 with blocks indexed by subsets r, c of the k steps, block
+                 (r, c) = d_t^popcount(r xor c) A if c & ~r == 0, else 0
 
 The two order-i shapes are conjugate by the constant upper-triangular matrix
 of change_basis_matrix, and the order-2 one-step shape embeds into the
 twice-iterated shape through the constant map of embedding_E.  Every
-prolongation, here and in solspace, is built by matrices.prolongation.
+prolongation, here and in solspace, is built from the one derivative tower
+A, A_t, ..., d_t^i A of matrices._t_tower, by matrices.prolongation or, for
+the iterated shape, by iterate_F.
 """
 
 from __future__ import annotations
@@ -139,12 +143,21 @@ def conjugate_constant(M: DiffModule, C) -> DiffModule:
 
 
 def iterate_F(M: DiffModule, k: int) -> DiffModule:
-    """k-fold prolong(., 1): B -> [[B, 0], [B_t, B]], dimension 2^k n."""
+    """k-fold prolong(., 1): B -> [[B, 0], [B_t, B]], dimension 2^k n.
+
+    Index the 2^k blocks of a side by subsets of the k steps, bit s set
+    where step s took the derivative slot.  Block (r, c) is
+    d_t^popcount(r xor c) A when c is a subset of r (c & ~r == 0) and zero
+    otherwise, so the result is built from A's t-derivative tower up to
+    order k, each level shared by the blocks that use it.
+    """
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    for _ in range(k):
-        M = prolong(M, 1)
-    return DiffModule(M.A)
+    tower, zero = mat._t_tower(M.A, k)
+    size = 1 << k
+    return DiffModule(mat.block([
+        [tower[(r ^ c).bit_count()] if not c & ~r else zero
+         for c in range(size)] for r in range(size)]))
 
 
 def embedding_E(M: DiffModule) -> ModuleMorphism:

@@ -31,6 +31,7 @@ import json
 import re
 from dataclasses import dataclass
 
+from . import matrices as mat
 from .diffmod import DiffModule
 from .ratfield import MPoly, RatFunc
 
@@ -327,7 +328,8 @@ def render(f: RatFunc) -> str:
 
 
 def render_matrix(A) -> list[list[str]]:
-    return [[render(e) for e in row] for row in A]
+    """render of every entry, once per distinct entry object."""
+    return mat._map_distinct(A, render)
 
 
 # module files -------------------------------------------------------------

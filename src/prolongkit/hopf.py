@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfield import Sparse
+from .ratfield import Sparse, _scalar
 
 GA = "ga"
 GM = "gm"
@@ -50,7 +50,9 @@ def _check_group(group: str):
 
 class DiffPoly(Sparse):
     """Truncated differential (Laurent) polynomial with leg structure, over
-    dense monomials (see the module docstring)."""
+    dense monomials (see the module docstring).  Coefficients are Fractions;
+    the constructor, constant and scale take only int and Fraction scalars
+    and raise TypeError for anything else."""
 
     __slots__ = ("group", "order", "legs")
 
@@ -64,7 +66,7 @@ class DiffPoly(Sparse):
         clean: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for mono, c in terms.items():
-                if not c:
+                if not _scalar(c):
                     continue
                 if len(mono) != size:
                     raise ValueError(f"a monomial needs {size} exponents")
@@ -99,7 +101,7 @@ class DiffPoly(Sparse):
 
     @classmethod
     def constant(cls, group: str, order: int, c, legs: int = 1) -> DiffPoly:
-        return cls(group, order, legs, {(0,) * (legs * (order + 1)): Fraction(c)})
+        return cls(group, order, legs, {(0,) * (legs * (order + 1)): c})
 
     @classmethod
     def generator(cls, group: str, order: int, j: int, leg: int = 0,
@@ -111,6 +113,9 @@ class DiffPoly(Sparse):
         mono = [0] * (legs * (order + 1))
         mono[leg * (order + 1) + j] = 1
         return cls(group, order, legs, {tuple(mono): Fraction(1)})
+
+    def scale(self, c) -> DiffPoly:
+        return Sparse.scale(self, _scalar(c))
 
     def _same_shape(self, other: DiffPoly):
         if (self.group, self.order, self.legs) != (other.group, other.order, other.legs):

@@ -73,7 +73,24 @@ def transpose(A):
 
 
 def deriv(A, var: str):
-    return [[a.deriv(var) for a in row] for row in A]
+    return _map_distinct(A, lambda a: a.deriv(var))
+
+
+def _map_distinct(A, f):
+    """[[f(a) for a in row] for row in A], calling f once per distinct entry
+    object: prolongation blocks of weight 1, and zero blocks, share theirs.
+    Entries are immutable and A keeps each alive, so id() is a safe key."""
+    done = {}
+    out = []
+    for row in A:
+        line = []
+        for a in row:
+            key = id(a)
+            if key not in done:
+                done[key] = f(a)
+            line.append(done[key])
+        out.append(line)
+    return out
 
 
 def eq(A, B) -> bool:
@@ -122,6 +139,17 @@ def block(rows):
     return out
 
 
+def _t_tower(X, i: int):
+    """The blocks every prolongation of X is built from: the list
+    [X, X_t, ..., d_t^i X] and a zero block of X's shape.  X's entries are
+    RatFunc or anything a RatFunc scales."""
+    tower = [X]
+    for _ in range(i):
+        tower.append(deriv(tower[-1], "t"))
+    z = X[0][0] * RatFunc.zero()
+    return tower, [[z] * len(X[0]) for _ in X]
+
+
 def prolongation(X, i: int, weight):
     """Block lower-triangular order-i prolongation of the matrix X: block
     (r, c) is weight(r, c) * d_t^(r-c) X for r >= c, and a zero block of
@@ -132,11 +160,7 @@ def prolongation(X, i: int, weight):
     """
     if i < 0:
         raise ValueError("prolongation order must be >= 0")
-    derivs = [X]
-    for _ in range(i):
-        derivs.append(deriv(derivs[-1], "t"))
-    z = X[0][0] * RatFunc.zero()
-    zero = [[z] * len(X[0]) for _ in X]
+    derivs, zero = _t_tower(X, i)
     grid = []
     for r in range(i + 1):
         brow = []

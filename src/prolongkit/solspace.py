@@ -157,14 +157,33 @@ def render_sol(e: SolExpr) -> str:
 # matrices of SolExpr ------------------------------------------------------
 
 def sol_det(Y) -> SolExpr:
-    """Cofactor expansion along the first row, skipping its zeros: time
-    factorial in n on a dense matrix (random dense entries, Python 3.11 on
-    a 2-core Xeon: 0.27 s at n = 7, 1.9 s at n = 8)."""
+    """Determinant of a square SolExpr matrix.
+
+    A block lower-triangular matrix splits: when rows 0..k-1 have no
+    nonzero entry in columns k.. the determinant is that of the top-left
+    k x k block times that of the rest.  The scan for such a k stops at the
+    first row whose nonzero entries reach the last column, so a dense
+    matrix pays little for it.  An unsplittable block is expanded by
+    cofactors along its first row, skipping its zeros: time factorial in
+    the size of the largest diagonal block (random dense entries, Python
+    3.11 on a 2-core Xeon: 0.27 s at 7 x 7, 1.9 s at 8 x 8).  The
+    prolongation of an n x n fundamental solution Y has diagonal blocks Y,
+    whatever the order, so its determinant costs that of Y i + 1 times.
+    """
     n = len(Y)
     if any(len(row) != n for row in Y):
         raise ValueError("determinant of a non-square matrix")
     if n == 1:
         return Y[0][0]
+    reach = -1  # last column holding a nonzero entry of the rows seen
+    for k in range(1, n):
+        row = Y[k - 1]
+        reach = next((j for j in range(n - 1, reach, -1) if row[j]), reach)
+        if reach == n - 1:
+            break
+        if reach < k:
+            return (sol_det([r[:k] for r in Y[:k]])
+                    * sol_det([r[k:] for r in Y[k:]]))
     result = SolExpr.zero()
     for j in range(n):
         if Y[0][j].is_zero:

@@ -5,13 +5,16 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from prolongkit import matrices as mat
 from prolongkit.cli import main
+from prolongkit.exprparse import parse_expr, render_matrix
 
 XT_DOC = '{"name": "xt", "n": 1, "matrix": [["t/x"]]}'
 CONST_DOC = '{"n": 2, "matrix": [["0", "1"], ["0", "0"]]}'
@@ -93,6 +96,43 @@ def test_verify_solution_file(capsys, tmp_path):
                           "--solution", str(sol))
     assert code == 0
     assert report["outcome"] == "pass"
+
+
+def _dense_pair(tmp_path):
+    """A dense 4x4 module and its fundamental solution Y = theta * P, with
+    P = L U for unitriangular polynomial L, U and A = P_x P^-1 + (t/x) I."""
+    def pmat(rows):
+        return [[parse_expr(e) for e in row] for row in rows]
+
+    L = pmat([["1", "0", "0", "0"], ["x", "1", "0", "0"],
+              ["t", "x + t", "1", "0"], ["1", "x*t", "x", "1"]])
+    U = pmat([["1", "t", "x", "1"], ["0", "1", "t", "x"],
+              ["0", "0", "1", "x + t"], ["0", "0", "0", "1"]])
+    P = mat.mul(L, U)
+    A = mat.add(mat.mul(mat.deriv(P, "x"), mat.inverse(P)),
+                mat.scale(mat.identity(4), parse_expr("t/x")))
+    mod = tmp_path / "dense.json"
+    mod.write_text(json.dumps({"n": 4, "matrix": render_matrix(A)}))
+    sol = tmp_path / "dense_sol.json"
+    sol.write_text(json.dumps({"n": 4, "matrix": [
+        [f"theta*({e})" for e in row] for row in render_matrix(P)]}))
+    assert all(not e.is_zero for row in P for e in row)
+    return str(mod), str(sol)
+
+
+def test_verify_dense_order_3_within_budget(capsys, tmp_path):
+    # Y_3 is 16x16; its determinant is det(Y)^4, taken over 4x4 blocks
+    mod, sol = _dense_pair(tmp_path)
+    start = time.perf_counter()
+    code, report, _ = run(capsys, "verify", mod, "-i", "3", "--solution", sol)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and report["outcome"] == "pass"
+    assert elapsed < 1.0, f"verify -i 3 took {elapsed:.3f}s, budget 1s"
+    code, report, _ = run(capsys, "verify", mod, "-i", "3", "--solution", sol,
+                          "--strip-binomials")
+    assert code == 1 and report["outcome"] == "fail"
+    assert report["result"]["first_mismatch_block"] == [2, 1]
+    assert report["result"]["det_ok"] is True
 
 
 def test_verify_unrepresentable_solution_is_input_error(capsys, tmp_path):

@@ -74,12 +74,57 @@ def _iterate_by_blocks(M, k):
     return B
 
 
-@pytest.mark.parametrize("k", range(4))
+@pytest.mark.parametrize("k", range(5))
 def test_iterate_matches_the_block_step(k):
-    M = DiffModule(pmat([["t^2/x", "x*t"], ["1/(x + t)", "t^3"]]))
-    got = iterate_F(M, k)
-    assert got.n == 2 ** (k + 1)
-    assert mat.eq(got.A, _iterate_by_blocks(M, k))
+    for rows in ([["t^2/x", "x*t"], ["1/(x + t)", "t^3"]],
+                 [["t/x", "0", "x^2"], ["1/(x + t)", "t^4", "x*t"],
+                  ["0", "t^2/(x - 1)", "1"]]):
+        M = DiffModule(pmat(rows))
+        got = iterate_F(M, k)
+        assert got.n == 2 ** k * M.n
+        assert mat.eq(got.A, _iterate_by_blocks(M, k))
+
+
+@pytest.fixture
+def deriv_calls(monkeypatch):
+    """A list that grows by one for every RatFunc.deriv call."""
+    calls = []
+    deriv = RatFunc.deriv
+
+    def counted(self, var):
+        calls.append(var)
+        return deriv(self, var)
+
+    monkeypatch.setattr(RatFunc, "deriv", counted)
+    return calls
+
+
+@pytest.mark.parametrize("rows", [
+    [["t^2/x", "x*t"], ["1/(x + t)", "t^5"]],
+    [["t/x", "t^4", "x^2*t^3"], ["1/(x + t)", "t^5", "x*t^4"],
+     ["t^6", "t^2/(x - 1)", "x + t^5"]],
+], ids=["2x2", "3x3"])
+@pytest.mark.parametrize("k", range(4))
+def test_iterate_differentiates_each_tower_entry_once(k, rows, deriv_calls):
+    # the block step differentiates n^2 (4^k - 1) / 3 entries; the tower
+    # has k levels of n^2 distinct entries to differentiate
+    M = DiffModule(pmat(rows))
+    iterate_F(M, k)
+    assert len(deriv_calls) == k * M.n ** 2
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_deriv_of_a_prolongation_visits_each_entry_object_once(i, deriv_calls):
+    P = prolong(DiffModule(pmat([["t^2/x", "x*t"], ["1/(x + t)", "t^3"]])),
+                i).A
+    distinct = {id(a): a for row in P for a in row}
+    deriv_calls.clear()
+    D = mat.deriv(P, "x")
+    assert len(deriv_calls) == len(distinct)
+    if i:
+        # weight-1 blocks and the zero block share their entries
+        assert len(distinct) < len(P) ** 2
+    assert D == [[a.deriv("x") for a in row] for row in P]
 
 
 def test_constant_module_prolongs_diagonally():

@@ -17,6 +17,27 @@ def test_derive_shifts_indices():
     assert (y0 * y0).derive() == gen(GM, 3, 1) * y0.scale(2)
 
 
+@pytest.mark.parametrize("bad", [0.1, 0.0, "1/3", None])
+def test_scalars_are_ints_or_fractions(bad):
+    y0 = gen(GA, 2, 0)
+    with pytest.raises(TypeError):
+        y0.scale(bad)
+    with pytest.raises(TypeError):
+        DiffPoly.constant(GA, 2, bad)
+    with pytest.raises(TypeError):
+        DiffPoly(GA, 2, 1, {(1, 0, 0): bad})
+
+
+def test_fraction_scalars_stay_exact():
+    third = Fraction(1, 3)
+    y0 = gen(GA, 2, 0)
+    assert y0.scale(third).terms == {(1, 0, 0): third}
+    assert y0.scale(3).scale(third) == y0
+    assert DiffPoly.constant(GA, 2, third).terms == {(0, 0, 0): third}
+    assert DiffPoly(GA, 2, 1, {(1, 0, 0): 2}).terms == {(1, 0, 0): Fraction(2)}
+    assert str(DiffPoly.constant(GM, 1, third) * gen(GM, 1, 1)) == "1/3*y1"
+
+
 def test_derive_overflow():
     top = gen(GA, 2, 2)
     with pytest.raises(OrderOverflowError):

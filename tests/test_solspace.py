@@ -131,6 +131,64 @@ def test_sol_det_small():
     assert sol_det([[TH]]) == TH
 
 
+def _cofactor_det(Y):
+    """The unsplit reference: cofactor expansion along the first row."""
+    if len(Y) == 1:
+        return Y[0][0]
+    out = SolExpr.zero()
+    for j, a in enumerate(Y[0]):
+        if not a.is_zero:
+            term = a * _cofactor_det([row[:j] + row[j + 1:] for row in Y[1:]])
+            out = out + term if j % 2 == 0 else out - term
+    return out
+
+
+def _random_sol(rng):
+    if rng.random() < 0.25:
+        return SolExpr.zero()
+    c = RatFunc(rng.randint(-3, 3)) * X ** rng.randint(0, 1) * T ** rng.randint(0, 1)
+    return SolExpr({(rng.randint(0, 1), rng.randint(0, 1)): c})
+
+
+@pytest.mark.parametrize("shape", ["lower", "zero row", "singular block",
+                                   "block diagonal"])
+def test_sol_det_splitting_matches_the_cofactor_expansion(shape):
+    rng = random.Random(f"sol_det {shape}")
+    for _ in range(15):
+        sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
+        if shape == "singular block" and max(sizes) == 1:
+            sizes[0] = 2
+        block = [b for b, size in enumerate(sizes) for _ in range(size)]
+        n = len(block)
+        Y = [[_random_sol(rng) if block[c] == block[r] or (
+            block[c] < block[r] and shape != "block diagonal")
+              else SolExpr.zero() for c in range(n)] for r in range(n)]
+        if shape == "zero row":
+            Y[rng.randrange(n)] = [SolExpr.zero()] * n
+        elif shape == "singular block":
+            # within its block, the second row of a 2- or 3-block repeats
+            # the first; the entries left of the block stay random
+            b = next(b for b, size in enumerate(sizes) if size > 1)
+            r0 = block.index(b)
+            for c in range(r0, r0 + sizes[b]):
+                Y[r0 + 1][c] = Y[r0][c]
+        det = sol_det(Y)
+        assert det == _cofactor_det(Y), (sizes, Y)
+        if shape in ("zero row", "singular block"):
+            assert det.is_zero
+
+
+@pytest.mark.parametrize("build", [build_fundamental_prolongation,
+                                   unweighted_prolongation],
+                         ids=["binomial", "unweighted"])
+@pytest.mark.parametrize("i", range(4))
+def test_det_of_a_prolonged_solution_is_a_power(build, i):
+    Y = [[TH, TH * LA + SolExpr.from_ratfunc(X * T), SolExpr.from_ratfunc(T)],
+         [SolExpr.from_ratfunc(T * T), TH * TH, LA],
+         [TH * SolExpr.from_ratfunc(T), SolExpr.one(), TH + LA]]
+    assert sol_det(build(Y, i)) == sol_det(Y) ** (i + 1)
+
+
 def test_wrong_shape_rejected():
     M, Y = xt_example()
     with pytest.raises(ValueError):
