@@ -630,10 +630,6 @@ class RatFunc:
             _, nd, e = gcd(n.deriv(var), d)
             return RatFunc(nd, e, _reduce=False)
         g, e, w = gcd(d, dd)
-        if g.terms == _ONE_TERMS:
-            # squarefree-in-var denominator: the quotient rule output is
-            # already in lowest terms
-            return RatFunc(n.deriv(var) * d - n * dd, d * d, _reduce=False)
         # peel the repeated part: f' = (n'e - n w) / (d e).  A factor of d
         # that depends on var and divides it m times divides d e m + 1
         # times but divides n'e - n w not at all, since it divides e once

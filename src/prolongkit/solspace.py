@@ -129,6 +129,7 @@ _X = RatFunc.var_x()
 _T = RatFunc.var_t()
 _T_OVER_X = _T / _X
 _ONE_OVER_X = RatFunc.one() / _X
+_ZERO = RatFunc.zero()
 
 
 def render_sol(e: SolExpr) -> str:
@@ -156,42 +157,48 @@ def render_sol(e: SolExpr) -> str:
 
 # matrices of SolExpr ------------------------------------------------------
 
-def sol_det(Y) -> SolExpr:
-    """Determinant of a square SolExpr matrix.
+def sol_nonsingular(Y) -> bool:
+    """Whether the square SolExpr matrix Y is invertible over
+    Q(x,t)[theta, lam], by matrices.rank at integer points.
 
-    A block lower-triangular matrix splits: when rows 0..k-1 have no
-    nonzero entry in columns k.. the determinant is that of the top-left
-    k x k block times that of the rest.  The scan for such a k stops at the
-    first row whose nonzero entries reach the last column, so a dense
-    matrix pays little for it.  An unsplittable block is expanded by
-    cofactors along its first row, skipping its zeros: time factorial in
-    the size of the largest diagonal block (random dense entries, Python
-    3.11 on a 2-core Xeon: 0.27 s at 7 x 7, 1.9 s at 8 x 8).  The
-    prolongation of an n x n fundamental solution Y has diagonal blocks Y,
-    whatever the order, so its determinant costs that of Y i + 1 times.
+    If Y or its transpose is block lower triangular, Y is nonsingular when
+    both diagonal blocks are; a prolonged solution splits into n x n blocks.
+    Otherwise divide each row by its least powers of theta and of lam.  The
+    determinant then has degree at most D_theta in theta, the sum of the
+    rows' spreads max - min of theta exponents, and D_lam in lam alike.
+    theta and lam are algebraically independent over Q(x, t), so setting
+    theta = a, lam = b is a ring map, and the determinant is nonzero iff
+    the matrix has full rank at some a in 1..D_theta+1, b in 1..D_lam+1.
+    A dense 9 x 9 `verify -i 0` takes about 0.2 s (Python 3.11, 2-core Xeon).
     """
     n = len(Y)
     if any(len(row) != n for row in Y):
         raise ValueError("determinant of a non-square matrix")
     if n == 1:
-        return Y[0][0]
-    reach = -1  # last column holding a nonzero entry of the rows seen
-    for k in range(1, n):
-        row = Y[k - 1]
-        reach = next((j for j in range(n - 1, reach, -1) if row[j]), reach)
-        if reach == n - 1:
-            break
-        if reach < k:
-            return (sol_det([r[:k] for r in Y[:k]])
-                    * sol_det([r[k:] for r in Y[k:]]))
-    result = SolExpr.zero()
-    for j in range(n):
-        if Y[0][j].is_zero:
-            continue
-        minor = [[Y[i][k] for k in range(n) if k != j] for i in range(1, n)]
-        term = Y[0][j] * sol_det(minor)
-        result = result + term if j % 2 == 0 else result - term
-    return result
+        return not Y[0][0].is_zero
+    for Z in (Y, mat.transpose(Y)):
+        reach = -1  # last column holding a nonzero entry of the rows seen
+        for k in range(1, n):
+            row = Z[k - 1]
+            reach = next((j for j in range(n - 1, reach, -1) if row[j]), reach)
+            if reach == n - 1:
+                break
+            if reach < k:
+                return (sol_nonsingular([r[:k] for r in Z[:k]])
+                        and sol_nonsingular([r[k:] for r in Z[k:]]))
+    rows, spread = [], [0, 0]
+    for row in Y:
+        keys = [key for e in row for key in e.terms]
+        if not keys:
+            return False
+        low = [min(key[v] for key in keys) for v in (0, 1)]
+        for v in (0, 1):
+            spread[v] += max(key[v] for key in keys) - low[v]
+        rows.append([[(i - low[0], j - low[1], c)
+                      for (i, j), c in e.terms.items()] for e in row])
+    return any(mat.rank([[sum((c * (a ** i * b ** j) for i, j, c in e), _ZERO)
+                          for e in row] for row in rows]) == n
+               for a in range(1, spread[0] + 2) for b in range(1, spread[1] + 2))
 
 
 # fundamental solution machinery -------------------------------------------
@@ -236,15 +243,9 @@ def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:
         raise ValueError(f"solution matrix must be {M.n}x{M.n}")
     lhs = mat.deriv(Y, "x")
     rhs = mat.mul(M.A, Y)
-    first = None
-    for r in range(M.n):
-        for c in range(M.n):
-            if lhs[r][c] != rhs[r][c]:
-                first = (r, c)
-                break
-        if first is not None:
-            break
-    det_ok = not sol_det(Y).is_zero
+    first = next(((r, c) for r in range(M.n) for c in range(M.n)
+                  if lhs[r][c] != rhs[r][c]), None)
+    det_ok = sol_nonsingular(Y)
     return FundamentalCheck(first is None, first, det_ok)
 
 

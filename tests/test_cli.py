@@ -14,7 +14,9 @@ import pytest
 
 from prolongkit import matrices as mat
 from prolongkit.cli import main
+from prolongkit.diffmod import dsum
 from prolongkit.exprparse import parse_expr, render_matrix
+from prolongkit.solspace import xt_example
 
 XT_DOC = '{"name": "xt", "n": 1, "matrix": [["t/x"]]}'
 CONST_DOC = '{"n": 2, "matrix": [["0", "1"], ["0", "0"]]}'
@@ -98,34 +100,41 @@ def test_verify_solution_file(capsys, tmp_path):
     assert report["outcome"] == "pass"
 
 
-def _dense_pair(tmp_path):
-    """A dense 4x4 module and its fundamental solution Y = theta * P, with
+def _dense_pair(tmp_path, n):
+    """A dense n x n module and its fundamental solution Y = theta * P, with
     P = L U for unitriangular polynomial L, U and A = P_x P^-1 + (t/x) I."""
-    def pmat(rows):
-        return [[parse_expr(e) for e in row] for row in rows]
+    cycle = ("x", "t", "1", "x + t", "x*t")
 
-    L = pmat([["1", "0", "0", "0"], ["x", "1", "0", "0"],
-              ["t", "x + t", "1", "0"], ["1", "x*t", "x", "1"]])
-    U = pmat([["1", "t", "x", "1"], ["0", "1", "t", "x"],
-              ["0", "0", "1", "x + t"], ["0", "0", "0", "1"]])
+    def pmat(entry):
+        return [[parse_expr(entry(r, c)) for c in range(n)] for r in range(n)]
+
+    L = pmat(lambda r, c: "1" if r == c else "0" if r < c
+             else cycle[(r + c) % 5])
+    U = pmat(lambda r, c: "1" if r == c else "0" if r > c
+             else cycle[(r * c + 1) % 5])
     P = mat.mul(L, U)
     A = mat.add(mat.mul(mat.deriv(P, "x"), mat.inverse(P)),
-                mat.scale(mat.identity(4), parse_expr("t/x")))
+                mat.scale(mat.identity(n), parse_expr("t/x")))
     mod = tmp_path / "dense.json"
-    mod.write_text(json.dumps({"n": 4, "matrix": render_matrix(A)}))
+    mod.write_text(json.dumps({"n": n, "matrix": render_matrix(A)}))
     sol = tmp_path / "dense_sol.json"
-    sol.write_text(json.dumps({"n": 4, "matrix": [
+    sol.write_text(json.dumps({"n": n, "matrix": [
         [f"theta*({e})" for e in row] for row in render_matrix(P)]}))
     assert all(not e.is_zero for row in P for e in row)
     return str(mod), str(sol)
 
 
-def test_verify_dense_order_3_within_budget(capsys, tmp_path):
-    # Y_3 is 16x16; its determinant is det(Y)^4, taken over 4x4 blocks
-    mod, sol = _dense_pair(tmp_path)
+def _timed_verify(capsys, mod, i, sol, *flags):
     start = time.perf_counter()
-    code, report, _ = run(capsys, "verify", mod, "-i", "3", "--solution", sol)
-    elapsed = time.perf_counter() - start
+    code, report, _ = run(capsys, "verify", mod, "-i", str(i),
+                          "--solution", sol, *flags)
+    return code, report, time.perf_counter() - start
+
+
+def test_verify_dense_order_3_within_budget(capsys, tmp_path):
+    # Y_3 is 16x16 and splits into four 4x4 diagonal blocks Y
+    mod, sol = _dense_pair(tmp_path, 4)
+    code, report, elapsed = _timed_verify(capsys, mod, 3, sol)
     assert code == 0 and report["outcome"] == "pass"
     assert elapsed < 1.0, f"verify -i 3 took {elapsed:.3f}s, budget 1s"
     code, report, _ = run(capsys, "verify", mod, "-i", "3", "--solution", sol,
@@ -133,6 +142,34 @@ def test_verify_dense_order_3_within_budget(capsys, tmp_path):
     assert code == 1 and report["outcome"] == "fail"
     assert report["result"]["first_mismatch_block"] == [2, 1]
     assert report["result"]["det_ok"] is True
+
+
+def test_verify_dense_9x9_order_0_within_budget(capsys, tmp_path):
+    mod, sol = _dense_pair(tmp_path, 9)
+    code, report, elapsed = _timed_verify(capsys, mod, 0, sol)
+    assert code == 0 and report["outcome"] == "pass"
+    assert elapsed < 1.0, f"verify -i 0 took {elapsed:.3f}s, budget 1s"
+
+
+def test_verify_singular_9x9_solution_fails_within_budget(capsys, tmp_path):
+    # Y = theta * C(t) solves the 9-fold direct sum of xt, and the last row
+    # of C is t times the first plus the second, so det(Y) = 0
+    n = 9
+    xt = M = xt_example()[0]
+    for _ in range(n - 1):
+        M = dsum(M, xt)
+    C = [[f"t^{(r * c) % 3} + {r + c}" for c in range(n)] for r in range(n - 1)]
+    C.append([f"t*({a}) + {b}" for a, b in zip(C[0], C[1])])
+    mod = tmp_path / "sum.json"
+    mod.write_text(json.dumps({"n": n, "matrix": render_matrix(M.A)}))
+    sol = tmp_path / "singular_sol.json"
+    sol.write_text(json.dumps({"n": n, "matrix": [
+        [f"theta*({e})" for e in row] for row in C]}))
+    code, report, elapsed = _timed_verify(capsys, str(mod), 0, str(sol))
+    assert code == 1 and report["outcome"] == "fail"
+    assert report["result"]["derivative_ok"] is True
+    assert report["result"]["det_ok"] is False
+    assert elapsed < 1.0, f"verify -i 0 took {elapsed:.3f}s, budget 1s"
 
 
 def test_verify_unrepresentable_solution_is_input_error(capsys, tmp_path):

@@ -7,7 +7,7 @@ from prolongkit.exprparse import EvalError, parse_expr
 from prolongkit.ratfield import RatFunc
 from prolongkit.solspace import (SolExpr, UnrepresentableSolutionError,
                                  build_fundamental_prolongation, load_solution,
-                                 parse_solution, render_sol, sol_det,
+                                 parse_solution, render_sol, sol_nonsingular,
                                  unweighted_prolongation, verify_fundamental,
                                  xt_example)
 
@@ -125,14 +125,8 @@ def test_det_detects_degenerate_solution():
     assert not chk.passed
 
 
-def test_sol_det_small():
-    Z = SolExpr.zero()
-    assert sol_det([[TH, Z], [LA, TH]]) == TH * TH
-    assert sol_det([[TH]]) == TH
-
-
 def _cofactor_det(Y):
-    """The unsplit reference: cofactor expansion along the first row."""
+    """The reference determinant: cofactor expansion along the first row."""
     if len(Y) == 1:
         return Y[0][0]
     out = SolExpr.zero()
@@ -143,6 +137,35 @@ def _cofactor_det(Y):
     return out
 
 
+def test_sol_det_small():
+    Z = SolExpr.zero()
+    assert sol_nonsingular([[TH, Z], [LA, TH]])
+    assert sol_nonsingular([[TH]])
+    assert not sol_nonsingular([[Z]])
+    assert not sol_nonsingular([[TH, LA], [TH * TH, TH * LA]])
+
+
+def test_zero_row_of_an_unsplittable_block_is_singular():
+    Z, one = SolExpr.zero(), SolExpr.one()
+    Y = [[TH, one, LA], [Z, Z, Z], [one, TH, one]]
+    assert _cofactor_det(Y).is_zero
+    assert not sol_nonsingular(Y)
+
+
+@pytest.mark.parametrize("rows", [
+    [["theta - 1", "theta - 1"], ["1", "2"]],          # det theta - 1
+    [["theta", "-2"], ["1", "theta - 3"]],             # (theta - 1)(theta - 2)
+    [["lam - 1", "lam - 1"], ["1", "2"]],
+    [["lam", "-2"], ["1", "lam - 3"]],
+])
+def test_determinant_vanishing_on_all_but_the_last_grid_point(rows):
+    # the determinant vanishes at theta (or lam) = 1..D and not at D + 1, so
+    # a grid one point short would read these matrices as singular
+    Y = [[parse_solution(e) for e in row] for row in rows]
+    assert not _cofactor_det(Y).is_zero
+    assert sol_nonsingular(Y)
+
+
 def _random_sol(rng):
     if rng.random() < 0.25:
         return SolExpr.zero()
@@ -151,13 +174,15 @@ def _random_sol(rng):
 
 
 @pytest.mark.parametrize("shape", ["lower", "zero row", "singular block",
-                                   "block diagonal"])
+                                   "block diagonal", "upper", "dense"])
 def test_sol_det_splitting_matches_the_cofactor_expansion(shape):
     rng = random.Random(f"sol_det {shape}")
-    for _ in range(15):
+    for case in range(15):
         sizes = [rng.randint(1, 3) for _ in range(rng.randint(1, 3))]
         if shape == "singular block" and max(sizes) == 1:
             sizes[0] = 2
+        if shape == "dense":
+            sizes = [rng.randint(2, 4)]
         block = [b for b, size in enumerate(sizes) for _ in range(size)]
         n = len(block)
         Y = [[_random_sol(rng) if block[c] == block[r] or (
@@ -172,10 +197,17 @@ def test_sol_det_splitting_matches_the_cofactor_expansion(shape):
             r0 = block.index(b)
             for c in range(r0, r0 + sizes[b]):
                 Y[r0 + 1][c] = Y[r0][c]
-        det = sol_det(Y)
-        assert det == _cofactor_det(Y), (sizes, Y)
-        if shape in ("zero row", "singular block"):
-            assert det.is_zero
+        elif shape == "upper":
+            Y = [list(col) for col in zip(*Y)]
+        elif shape == "dense" and case % 3 == 0:
+            # the last row is theta times the first plus lam times the one
+            # before the last
+            Y[-1] = [TH * a + LA * b for a, b in zip(Y[0], Y[-2])]
+        singular = _cofactor_det(Y).is_zero
+        assert sol_nonsingular(Y) == (not singular), (sizes, Y)
+        if shape in ("zero row", "singular block") or (
+                shape == "dense" and case % 3 == 0):
+            assert singular
 
 
 @pytest.mark.parametrize("build", [build_fundamental_prolongation,
@@ -186,7 +218,11 @@ def test_det_of_a_prolonged_solution_is_a_power(build, i):
     Y = [[TH, TH * LA + SolExpr.from_ratfunc(X * T), SolExpr.from_ratfunc(T)],
          [SolExpr.from_ratfunc(T * T), TH * TH, LA],
          [TH * SolExpr.from_ratfunc(T), SolExpr.one(), TH + LA]]
-    assert sol_det(build(Y, i)) == sol_det(Y) ** (i + 1)
+    singular = Y[:2] + [[a + b * LA for a, b in zip(Y[0], Y[1])]]
+    assert sol_nonsingular(Y) and not sol_nonsingular(singular)
+    for Z in (Y, singular):
+        assert sol_nonsingular(build(Z, i)) == sol_nonsingular(Z)
+        assert _cofactor_det(build(Z, i)) == _cofactor_det(Z) ** (i + 1)
 
 
 def test_wrong_shape_rejected():
