@@ -18,7 +18,7 @@ import time
 from . import checks as checksuite
 from . import matrices as mat
 from .diffmod import dsum, dual, iterate_F, prolong, prolong_lemma, tensor
-from .exprparse import ExprError, ModuleDoc, ModuleDocError, render_matrix
+from .exprparse import ExprError, ModuleDocError, load_module, render_matrix
 from .solspace import (UnrepresentableSolutionError,
                        build_fundamental_prolongation, load_solution,
                        unweighted_prolongation, verify_fundamental,
@@ -39,11 +39,11 @@ def _read_file(path: str) -> bytes:
         raise InputError(f"cannot read {path}: {e.strerror or e}") from e
 
 
-def _load_module(path: str):
-    """The module of the document at path, named as the document; an error
-    in the document names the file."""
+def _load(path: str, load=load_module):
+    """What load makes of the document at path, a module by default; an
+    error in the document names the file."""
     try:
-        return ModuleDoc.parse(_read_file(path)).to_module()
+        return load(_read_file(path))
     except ModuleDocError as e:
         raise InputError(f"{path}: {e}") from e
 
@@ -85,7 +85,7 @@ def _resolve_seed(args) -> int:
 
 def cmd_prolong(args) -> int:
     start = time.perf_counter()
-    M = _load_module(args.file)
+    M = _load(args.file)
     if args.kind == "binomial":
         out = prolong(M, args.i)
     elif args.kind == "lemma":
@@ -101,16 +101,13 @@ def cmd_prolong(args) -> int:
 
 def cmd_verify(args) -> int:
     start = time.perf_counter()
-    M = _load_module(args.file)
+    M = _load(args.file)
     if args.example:
         if args.example != "xt":
             raise InputError(f"unknown example {args.example!r}")
         Y = xt_example()[1]
     else:
-        try:
-            Y = load_solution(_read_file(args.solution))
-        except ModuleDocError as e:
-            raise InputError(f"{args.solution}: {e}") from e
+        Y = _load(args.solution, load_solution)
     if len(Y) != M.n:
         raise InputError(
             f"solution is {len(Y)}x{len(Y[0]) if Y else 0} but the module "
@@ -205,7 +202,7 @@ def cmd_check(args) -> int:
     kwargs = {kw: getattr(args, option) for option, kw in options.items()
               if getattr(args, option) is not None}
     if "module" in kwargs:
-        kwargs["module"] = _load_module(kwargs["module"])
+        kwargs["module"] = _load(kwargs["module"])
     result = func(*seed, **kwargs)
     report = {
         "command": "check",
@@ -224,7 +221,7 @@ def cmd_check(args) -> int:
 
 def _binary_command(args, op, label: str) -> int:
     start = time.perf_counter()
-    modules = [_load_module(p) for p in (args.a, args.b) if p is not None]
+    modules = [_load(p) for p in (args.a, args.b) if p is not None]
     out = op(*modules)
     inputs = {"a": args.a, "a_name": modules[0].name}
     if args.b is not None:

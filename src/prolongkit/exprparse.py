@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 from . import matrices as mat
 from .diffmod import DiffModule
-from .ratfield import MPoly, RatFunc
+from .ratfield import MPoly, RatFunc, render_terms
 
 
 class ExprError(ValueError):
@@ -160,7 +160,7 @@ class _Parser:
             return None
 
     def parse(self):
-        value = self.additive()
+        value = self.fold("+-")
         kind, token, off = self.peek()
         if kind != "END":
             raise ParseError(f"unexpected token {token!r}", off)
@@ -168,23 +168,18 @@ class _Parser:
             raise self.failure
         return value
 
-    def additive(self):
-        value = self.multiplicative()
+    def fold(self, ops: str):
+        """Left fold of the operands joined by the operators in ops: a sum
+        of products for "+-", a product of unary operands for "*/"."""
+        sums = ops == "+-"
+        value = self.fold("*/") if sums else self.unary()
         while True:
             kind, op, off = self.peek()
-            if kind != "OP" or op not in "+-":
+            if kind != "OP" or op not in ops:
                 return value
             self.pos += 1
-            value = self.apply(op, off, value, self.multiplicative())
-
-    def multiplicative(self):
-        value = self.unary()
-        while True:
-            kind, op, off = self.peek()
-            if kind != "OP" or op not in "*/":
-                return value
-            self.pos += 1
-            value = self.apply(op, off, value, self.unary())
+            value = self.apply(op, off, value,
+                               self.fold("*/") if sums else self.unary())
 
     def unary(self):
         kind, token, off = self.peek()
@@ -249,7 +244,7 @@ class _Parser:
             except KeyError:
                 raise ParseError(f"unknown variable {token!r}", off) from None
         if kind == "OP" and token == "(":
-            value = self.additive()
+            value = self.fold("+-")
             if not self.eat_op(")"):
                 k, v, o = self.peek()
                 raise ParseError(f"expected ')', got {v!r}", o)
@@ -280,38 +275,10 @@ def parse_expr(text: str) -> RatFunc:
 
 # rendering ----------------------------------------------------------------
 
-def _render_term(key, coeff, lead: bool) -> str:
-    """One monomial; coeff is taken positive except for a leading minus."""
-    dx, dt = key
-    parts = []
-    c = coeff
-    neg = c < 0
-    if neg:
-        c = -c
-    if c != 1 or (dx == 0 and dt == 0):
-        parts.append(str(c))
-    if dx:
-        parts.append("x" if dx == 1 else f"x^{dx}")
-    if dt:
-        parts.append("t" if dt == 1 else f"t^{dt}")
-    body = "*".join(parts)
-    if lead:
-        return f"-{body}" if neg else body
-    return f" - {body}" if neg else f" + {body}"
-
-
 def render_poly(p: MPoly) -> str:
-    if p.is_zero:
-        return "0"
-    keys = sorted(p.terms, reverse=True)
-    out = [_render_term(k, p.terms[k], i == 0) for i, k in enumerate(keys)]
-    return "".join(out)
-
-
-def _monomial_factors(p: MPoly) -> int:
-    key, c = p.leading()
-    n = 0 if c == 1 else 1
-    return n + (1 if key[0] else 0) + (1 if key[1] else 0)
+    terms = p.terms
+    return render_terms([(terms[k], (("x", k[0]), ("t", k[1])))
+                         for k in sorted(terms, reverse=True)])
 
 
 def render(f: RatFunc) -> str:
@@ -322,7 +289,8 @@ def render(f: RatFunc) -> str:
     den = render_poly(f.den)
     if len(f.num.terms) > 1:
         num = f"({num})"
-    if len(f.den.terms) > 1 or _monomial_factors(f.den) > 1:
+    # a one-term denominator needs parentheses when it has two factors
+    if len(f.den.terms) > 1 or "*" in den:
         den = f"({den})"
     return f"{num}/{den}"
 
@@ -352,9 +320,13 @@ def validate_doc(data) -> tuple[int, list[list[str]], str | None]:
         except UnicodeDecodeError as e:
             raise ModuleDocError(f"document is not valid UTF-8: {e}") from e
     if isinstance(data, str):
+        # besides a JSONDecodeError, json.loads raises a plain ValueError
+        # for an integer past the interpreter's limit on str -> int
+        # conversion and a RecursionError for arrays or objects nested too
+        # deep
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:
             raise ModuleDocError(f"document is not valid JSON: {e}") from e
     if not isinstance(data, dict):
         raise ModuleDocError("document must be a JSON object")

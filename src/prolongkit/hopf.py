@@ -11,18 +11,20 @@ DiffPoly is a ratfield.Sparse whose monomials are dense: a tuple of
 legs * (order + 1) exponents, that of y_j in leg l at index
 l * (order + 1) + j, so the base's product (which adds exponent tuples
 entry by entry) is the product here.  Printing sorts the terms by the
-sparse form ((leg, j), exponent), ... of their monomials.
+sparse form ((leg, j), exponent), ... of their monomials and hands them to
+ratfield.render_terms.
 
-Structure maps are algebra homomorphisms fixed on generators:
+Structure maps are algebra homomorphisms fixed on y_0:
 
-  additive (ga):        delta(y_j) = u_j + v_j     S(y_j) = -y_j    eps(y_j) = 0
+  additive (ga):        delta(y_0) = u_0 + v_0     S(y_0) = -y_0    eps(y_0) = 0
   multiplicative (gm):  delta(y_0) = u_0 v_0       S(y_0) = 1/y_0   eps(y_0) = 1
 
-with the higher generators transported by d (delta and S commute with the
-derivation by construction, which is exactly what makes the axiom set
-checkable).  check_axioms runs the five families on all generators below
-the truncation order and, for ga, also compares the derivation-compatible
-antipode with the alternating-sign one, which first disagrees at order 1.
+with the higher generators transported by d, y_j going to d^j of y_0's
+image (delta and S commute with the derivation by construction, which is
+exactly what makes the axiom set checkable).  check_axioms runs the five
+families on all generators below the truncation order and, for ga, also
+compares the derivation-compatible antipode with the alternating-sign one,
+which first disagrees at order 1.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .ratfield import Sparse, _scalar
+from .ratfield import Sparse, _scalar, render_terms
 
 GA = "ga"
 GM = "gm"
@@ -132,26 +134,14 @@ class DiffPoly(Sparse):
         return f"DiffPoly({self.group!r}, {self})"
 
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+        # sorting by flat index sorts by (leg, j), so y10 follows y9
         n = self.order + 1
-        terms = sorted((tuple((divmod(k, n), e) for k, e in enumerate(mono) if e), c)
+        names = [f"{_LEG_NAMES[k // n + 1] if self.legs > 1 else 'y'}{k % n}"
+                 for k in range(self.legs * n)]
+        terms = sorted((tuple((k, e) for k, e in enumerate(mono) if e), c)
                        for mono, c in self.terms.items())
-        parts = []
-        for mono, c in terms:
-            factors = []
-            if abs(c) != 1 or not mono:
-                factors.append(str(abs(c)))
-            for (leg, j), e in mono:
-                name = _LEG_NAMES[leg + 1] if self.legs > 1 else "y"
-                v = f"{name}{j}"
-                factors.append(v if e == 1 else f"{v}^{e}")
-            term = "*".join(factors)
-            if not parts:
-                parts.append(f"-{term}" if c < 0 else term)
-            else:
-                parts.append(f" - {term}" if c < 0 else f" + {term}")
-        return "".join(parts)
+        return render_terms([(c, [(names[k], e) for k, e in sparse])
+                             for sparse, c in terms])
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other: DiffPoly) -> DiffPoly:
@@ -211,42 +201,39 @@ def _substitute(e: DiffPoly, images, out_legs: int) -> DiffPoly:
     return result
 
 
+def _transport(image: DiffPoly) -> list[DiffPoly]:
+    """Images of y_0, ..., y_N under the homomorphism that commutes with d
+    and sends y_0 to image: y_j goes to d^j image."""
+    table = [image]
+    for _ in range(image.order):
+        table.append(table[-1].derive())
+    return table
+
+
 def _delta_table(group: str, order: int) -> list[DiffPoly]:
-    """delta(y_j) as 2-leg elements, transported from order 0 by d."""
-    if group == GM:
-        d0 = (DiffPoly.generator(group, order, 0, leg=0, legs=2)
-              * DiffPoly.generator(group, order, 0, leg=1, legs=2))
-        table = [d0]
-        for _ in range(order):
-            table.append(table[-1].derive())
-        return table
-    return [DiffPoly.generator(group, order, j, leg=0, legs=2)
-            + DiffPoly.generator(group, order, j, leg=1, legs=2)
-            for j in range(order + 1)]
+    """delta(y_j) as 2-leg elements."""
+    u0 = DiffPoly.generator(group, order, 0, leg=0, legs=2)
+    v0 = DiffPoly.generator(group, order, 0, leg=1, legs=2)
+    return _transport(u0 * v0 if group == GM else u0 + v0)
 
 
 def _antipode_table(group: str, order: int, printed: bool = False) -> list[DiffPoly]:
     """S(y_j) as 1-leg elements.
 
-    Derived form: transported from order 0 by d.  The printed variant uses
-    the alternating sign (-1)^(j+1) on the additive group's generators and
-    exists to exhibit its conflict with derivation-compatibility.
+    The printed variant uses the alternating sign (-1)^(j+1) on the additive
+    group's generators and exists to exhibit its conflict with
+    derivation-compatibility.
     """
-    if group == GM:
-        table = [DiffPoly.generator(group, order, 0).inv()]
-        for _ in range(order):
-            table.append(table[-1].derive())
-        return table
-    if printed:
+    if printed and group == GA:
         return [DiffPoly.generator(group, order, j).scale((-1) ** (j + 1))
                 for j in range(order + 1)]
-    return [-DiffPoly.generator(group, order, j) for j in range(order + 1)]
+    y0 = DiffPoly.generator(group, order, 0)
+    return _transport(y0.inv() if group == GM else -y0)
 
 
 def _counit_table(group: str, order: int) -> list[DiffPoly]:
     """eps(y_j) as 1-leg constants: 1 for gm's y_0, 0 otherwise."""
-    return [DiffPoly.constant(group, order, int(group == GM and j == 0))
-            for j in range(order + 1)]
+    return _transport(DiffPoly.constant(group, order, int(group == GM)))
 
 
 def coproduct(e: DiffPoly) -> DiffPoly:

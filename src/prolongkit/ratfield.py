@@ -6,7 +6,8 @@ Four layers live here:
             package: a map from monomials (exponent tuples, multiplied by
             adding them entry by entry) to nonzero coefficients, with the
             ring operations on it.  MPoly, solspace's SolExpr and hopf's
-            DiffPoly are its subclasses,
+            DiffPoly are its subclasses; render_terms is the text of an
+            MPoly (through exprparse.render_poly) and of a DiffPoly,
   MPoly     sparse polynomials in x and t over Q with int or Fraction
             coefficients, specialising only the product,
   RatFunc   rational functions kept in canonical form (coprime polynomials
@@ -130,6 +131,36 @@ class Sparse:
 
     def inv(self):
         raise ValueError("negative power of a polynomial")
+
+
+def render_terms(terms) -> str:
+    """Text of a signed sum of monomials.
+
+    terms holds (coefficient, [(name, exponent), ...]) items in print
+    order.  A term is its factors joined by '*': the coefficient's absolute
+    value unless it is 1 and the term has a variable, then name^exponent,
+    or just name at exponent 1; factors with exponent 0 are left out.  The
+    first term carries a bare '-' when negative, later ones ' - ' or ' + ';
+    no terms print as "0".
+    """
+    parts = []
+    for c, factors in terms:
+        if c < 0:
+            parts.append(" - ")
+            c = -c
+        else:
+            parts.append(" + ")
+        body = "" if c == 1 else str(c)
+        for name, e in factors:
+            if e == 1:
+                body = f"{body}*{name}" if body else name
+            elif e:
+                body = f"{body}*{name}^{e}" if body else f"{name}^{e}"
+        parts.append(body or "1")
+    if not parts:
+        return "0"
+    parts[0] = "-" if parts[0] == " - " else ""
+    return "".join(parts)
 
 
 class MPoly(Sparse):

@@ -542,6 +542,35 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["outcome"] == "pass"
 
 
+
+# json.loads raises a RecursionError for deep nesting and a plain ValueError
+# for an integer past the interpreter's limit on str -> int conversion, not
+# a JSONDecodeError.  The nesting is far past what the C decoder accepts on
+# any supported Python, whose limits differ by version
+DEEP_DOC = b"[" * 100_000 + b"]" * 100_000
+LONG_INT_DOC = (b'{"n": ' + b"1" * (sys.get_int_max_str_digits() + 1)
+                + b', "matrix": [["x"]]}')
+
+
+@pytest.mark.parametrize("doc", ["module", "solution"])
+@pytest.mark.parametrize("data", [DEEP_DOC, LONG_INT_DOC],
+                         ids=["deep", "long-int"])
+def test_hostile_json_is_an_input_error(capsys, tmp_path, data, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(data)
+    if doc == "module":
+        argv = ["prolong", str(bad), "-i", "1"]
+    else:
+        mod = tmp_path / "m.json"
+        mod.write_text(CONST_DOC)
+        argv = ["verify", str(mod), "-i", "1", "--solution", str(bad)]
+    code = main(argv)
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err.startswith(f"error: {bad}: document is not valid JSON: ")
+    assert out.err.count("\n") == 1
+
 # exit-code contract: any argv over small documents exits 0, 1 or 2 and never
 # with a traceback.  Integer options stay small to bound the work.
 _ENTRIES = ("0", "1", "x", "t", "t/x", "1/x", "x^2-t", "1/(x-t)", "(x+t)^-2",
@@ -551,7 +580,7 @@ _BAD_ENTRIES = ("x^", "(", "", "1/0", "x/(t-t)", "2^-1.5", "q", "x^99999999",
 _SHAPES = (b"", b"[]", b"not json", b"\xff", b'{"n": 0, "matrix": []}',
            b'{"n": 1, "matrix": [[1]]}', b'{"n": 2, "matrix": [["0"]]}',
            b'{"n": true, "matrix": [["0"]]}', b'{"n": 1, "matrix": [["x"]], '
-           b'"name": 3}')
+           b'"name": 3}', DEEP_DOC, LONG_INT_DOC)
 # one_of draws its branches about equally often, so a branch listed three
 # times weights well-formed input three to one and most documents reach the
 # mathematics

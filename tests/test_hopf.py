@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from prolongkit.hopf import (GA, GM, DiffPoly, OrderOverflowError, antipode,
-                             check_axioms, coproduct, counit,
+from prolongkit.hopf import (GA, GM, DiffPoly, OrderOverflowError,
+                             _antipode_table, _counit_table, _delta_table,
+                             antipode, check_axioms, coproduct, counit,
                              reduce_mod_derivatives, subgroup_defining_poly)
 
 
@@ -87,6 +88,20 @@ def test_counit_values():
     assert counit(gen(GM, 2, 0).inv()) == 1
     assert counit(DiffPoly.constant(GM, 2, Fraction(7, 2))) == Fraction(7, 2)
 
+
+
+@pytest.mark.parametrize("order", range(1, 7))
+def test_transported_tables_match_the_closed_forms(order):
+    # each table is d^j of its map's value on y_0
+    assert _delta_table(GA, order) == [
+        gen(GA, order, j, leg=0, legs=2) + gen(GA, order, j, leg=1, legs=2)
+        for j in range(order + 1)]
+    assert _antipode_table(GA, order) == [-gen(GA, order, j)
+                                          for j in range(order + 1)]
+    for group, eps0 in ((GA, 0), (GM, 1)):
+        assert _counit_table(group, order) == (
+            [DiffPoly.constant(group, order, eps0)]
+            + [DiffPoly.zero(group, order)] * order)
 
 def test_axioms_pass_both_groups():
     for group in (GA, GM):
@@ -177,6 +192,16 @@ def test_str_of_three_leg_laurent_element():
     assert repr(gen(GM, 3, 1) * gen(GM, 3, 0).inv()) == "DiffPoly('gm', y0^-1*y1)"
     assert str(DiffPoly.zero(GA, 2, legs=3)) == "0"
 
+
+
+def test_str_sorts_indices_as_numbers():
+    # a string sort of the names would put y10 before y9 and u10 after v0
+    y9, y10 = gen(GA, 11, 9), gen(GA, 11, 10)
+    e = y10 - y9.scale(Fraction(1, 2)) - DiffPoly.unit(GA, 11)
+    assert str(e) == "-1 - 1/2*y9 + y10"
+    u10 = gen(GM, 11, 10, leg=0, legs=2)
+    v0 = gen(GM, 11, 0, leg=1, legs=2)
+    assert str(u10 * v0 * v0 - v0.inv()) == "u10*v0^2 - v0^-1"
 
 def test_printed_antipode_witnesses():
     report = check_axioms(GA, 3, "printed")

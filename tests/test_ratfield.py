@@ -126,6 +126,22 @@ def test_mpoly_keeps_only_the_product_of_its_own():
     assert "__sub__" not in vars(MPoly)
 
 
+
+@pytest.mark.parametrize("terms, text", [
+    ([], "0"),
+    ([(1, [])], "1"),
+    ([(-1, [])], "-1"),
+    ([(1, [("x", 0), ("t", 0)])], "1"),
+    ([(-1, [("x", 1)]), (1, [])], "-x + 1"),
+    ([(Fraction(-3, 2), [("y", 2)]), (Fraction(1, 2), [("y", -1)])],
+     "-3/2*y^2 + 1/2*y^-1"),
+    ([(2, [("x", 3), ("t", 0)]), (-1, [("x", 0), ("t", 1)]), (-7, [])],
+     "2*x^3 - t - 7"),
+    ([(1, [("u", 1), ("v", 2)]), (-1, [("v", -1)])], "u*v^2 - v^-1"),
+])
+def test_render_terms(terms, text):
+    assert ratfield.render_terms(terms) == text
+
 def test_constructors_take_only_ints_and_fractions():
     x = MPoly.variable("x")
     for bad in (0.5, 0.0, "1/2", 1j):
