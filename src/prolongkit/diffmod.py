@@ -19,10 +19,12 @@ which is what is_morphism checks.  Three prolongation shapes appear:
 
 The two order-i shapes are conjugate by the constant upper-triangular matrix
 of change_basis_matrix, and the order-2 one-step shape embeds into the
-twice-iterated shape through the constant map of embedding_E.  Every
-prolongation, here and in solspace, is built from the one derivative tower
-A, A_t, ..., d_t^i A of matrices._t_tower, by matrices.prolongation or, for
-the iterated shape, by iterate_F.
+twice-iterated shape through the constant map of embedding_E.  These two,
+inclusion_i, projection_phi and dual_swap_g are each a constant map
+W (x) I_n of a small rational pattern W, built by one Kronecker product.
+Every prolongation, here and in solspace, is built from the one derivative
+tower A, A_t, ..., d_t^i A of matrices._t_tower, by
+matrices.prolongation or, for the iterated shape, by iterate_F.
 """
 
 from __future__ import annotations
@@ -90,6 +92,18 @@ def is_morphism(P, src: DiffModule, dst: DiffModule) -> bool:
     return mat.eq(mat.deriv(P, "x"), mat.sub(BP, PA))
 
 
+_ZERO = RatFunc.zero()
+_ONE = RatFunc.one()
+
+
+def _pattern(W, n: int):
+    """The constant map W (x) I_n of the rational scalar pattern W; its 0s
+    and 1s become shared RatFunc constants."""
+    return mat.kron([[_ZERO if w == 0 else _ONE if w == 1
+                      else RatFunc.from_fraction(w) for w in row]
+                     for row in W], mat.identity(n))
+
+
 # prolongation shapes ------------------------------------------------------
 
 def prolong(M: DiffModule, i: int) -> DiffModule:
@@ -120,10 +134,8 @@ def change_basis_matrix(n: int, i: int):
     """
     if n < 1 or i < 0:
         raise ValueError("need n >= 1 and i >= 0")
-    z = RatFunc.zero()
-    W = [[RatFunc.from_int(math.comb(i - q + p, p)) if p <= q else z
-          for q in range(i + 1)] for p in range(i + 1)]
-    return mat.kron(W, mat.identity(n))
+    return _pattern([[math.comb(i - q + p, p) if p <= q else 0
+                      for q in range(i + 1)] for p in range(i + 1)], n)
 
 
 def conjugate_constant(M: DiffModule, C) -> DiffModule:
@@ -168,16 +180,8 @@ def embedding_E(M: DiffModule) -> ModuleMorphism:
     one-step basis (second derivative first); the middle column splits
     evenly over the two mixed blocks, giving rank 3n.
     """
-    n = M.n
-    I = mat.identity(n)
-    H = mat.scale(I, RatFunc.from_fraction(Fraction(1, 2)))
-    Z = mat.zeros(n, n)
-    P = mat.block([
-        [I, Z, Z],
-        [Z, H, Z],
-        [Z, H, Z],
-        [Z, Z, I],
-    ])
+    half = Fraction(1, 2)
+    P = _pattern([[1, 0, 0], [0, half, 0], [0, half, 0], [0, 0, 1]], M.n)
     return ModuleMorphism(prolong_lemma(M, 2), iterate_F(M, 2), P)
 
 
@@ -212,16 +216,12 @@ def dual_morphism(phi: ModuleMorphism) -> ModuleMorphism:
 
 def inclusion_i(M: DiffModule) -> ModuleMorphism:
     """M -> prolong(M, 1), hitting the order-0 coordinates (the last block)."""
-    n = M.n
-    P = mat.block([[mat.zeros(n, n)], [mat.identity(n)]])
-    return ModuleMorphism(M, prolong(M, 1), P)
+    return ModuleMorphism(M, prolong(M, 1), _pattern([[0], [1]], M.n))
 
 
 def projection_phi(M: DiffModule) -> ModuleMorphism:
     """prolong(M, 1) -> M, reading off the order-1 coordinates (first block)."""
-    n = M.n
-    P = mat.block([[mat.identity(n), mat.zeros(n, n)]])
-    return ModuleMorphism(prolong(M, 1), M, P)
+    return ModuleMorphism(prolong(M, 1), M, _pattern([[1, 0]], M.n))
 
 
 def product_rule_map(M: DiffModule, N: DiffModule) -> ModuleMorphism:
@@ -235,7 +235,6 @@ def product_rule_map(M: DiffModule, N: DiffModule) -> ModuleMorphism:
     """
     n, m = M.n, N.n
     nm = n * m
-    one = RatFunc.from_int(1)
     P = mat.zeros(4 * nm, 2 * nm)
     for i in range(n):
         for j in range(m):
@@ -245,9 +244,9 @@ def product_rule_map(M: DiffModule, N: DiffModule) -> ModuleMorphism:
                 for b in (0, 1):
                     row = (a * n + i) * 2 * m + b * m + j
                     if a != b:
-                        P[row][src0] = one
+                        P[row][src0] = _ONE
                     elif a == 1:
-                        P[row][src1] = one
+                        P[row][src1] = _ONE
     return ModuleMorphism(prolong(tensor(M, N), 1),
                           tensor(prolong(M, 1), prolong(N, 1)), P)
 
@@ -258,14 +257,8 @@ def dual_swap_g(M: DiffModule) -> ModuleMorphism:
     An isomorphism (the matrix is a block permutation) that matches the
     projection of the dual with the dual of the inclusion and vice versa.
     """
-    n = M.n
-    I = mat.identity(n)
-    Z = mat.zeros(n, n)
-    P = mat.block([
-        [Z, I],
-        [I, Z],
-    ])
-    return ModuleMorphism(prolong(dual(M), 1), dual(prolong(M, 1)), P)
+    return ModuleMorphism(prolong(dual(M), 1), dual(prolong(M, 1)),
+                          _pattern([[0, 1], [1, 0]], M.n))
 
 
 def prolong_morphism(phi: ModuleMorphism, i: int) -> ModuleMorphism:

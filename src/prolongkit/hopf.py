@@ -334,42 +334,31 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
     for j in range(order):
         g = DiffPoly.generator(group, order, j)
         dg = coproduct(g)
-
-        # (delta x id) delta = (id x delta) delta
-        left = _substitute(dg, [delta_01, y[3][2]], 3)
-        right = _substitute(dg, [y[3][0], delta_12], 3)
-        checks.append(AxiomCheck(
-            AXIOM_NAMES[0], j, left == right,
-            None if left == right else f"({left}) != ({right})"))
-
-        # (id x eps) delta = id
-        collapsed = _substitute(dg, [y[1][0], eps], 1)
-        checks.append(AxiomCheck(
-            AXIOM_NAMES[1], j, collapsed == g,
-            None if collapsed == g else f"(id x eps)delta(y{j}) = {collapsed}"))
-
-        # m (S x id) delta = unit eps; m sends y_j of either leg to y_j
-        swapped = _substitute(dg, [s_leg0, y[2][1]], 2)
-        folded = _substitute(swapped, [y[1][0], y[1][0]], 1)
-        expect = DiffPoly.constant(group, order, counit(g))
-        checks.append(AxiomCheck(
-            AXIOM_NAMES[2], j, folded == expect,
-            None if folded == expect else f"m(S x id)delta(y{j}) = {folded}"))
-
-        # delta d = d delta
-        lhs = coproduct(g.derive())
-        rhs = dg.derive()
-        checks.append(AxiomCheck(
-            AXIOM_NAMES[3], j, lhs == rhs,
-            None if lhs == rhs else f"delta(d y{j}) = {lhs} but d delta(y{j}) = {rhs}"))
-
-        # S d = d S
-        lhs = antipode(g.derive(), printed)
-        rhs = antipode(g, printed).derive()
-        checks.append(AxiomCheck(
-            AXIOM_NAMES[4], j, lhs == rhs,
-            None if lhs == rhs
-            else f"S(d^{j + 1} y) = {lhs} (order {j + 1}) but d(S(d^{j} y)) = {rhs}"))
+        # one (lhs, rhs, witness) row per law, in AXIOM_NAMES order; the
+        # witness is formatted with lhs, rhs, j and k = j + 1 on failure
+        rows = (
+            # (delta x id) delta = (id x delta) delta
+            (_substitute(dg, [delta_01, y[3][2]], 3),
+             _substitute(dg, [y[3][0], delta_12], 3), "({0}) != ({1})"),
+            # (id x eps) delta = id
+            (_substitute(dg, [y[1][0], eps], 1), g,
+             "(id x eps)delta(y{j}) = {0}"),
+            # m (S x id) delta = unit eps; m sends y_j of either leg to y_j
+            (_substitute(_substitute(dg, [s_leg0, y[2][1]], 2),
+                         [y[1][0], y[1][0]], 1),
+             DiffPoly.constant(group, order, counit(g)),
+             "m(S x id)delta(y{j}) = {0}"),
+            # delta d = d delta
+            (coproduct(g.derive()), dg.derive(),
+             "delta(d y{j}) = {0} but d delta(y{j}) = {1}"),
+            # S d = d S
+            (antipode(g.derive(), printed), antipode(g, printed).derive(),
+             "S(d^{k} y) = {0} (order {k}) but d(S(d^{j} y)) = {1}"),
+        )
+        for name, (lhs, rhs, witness) in zip(AXIOM_NAMES, rows):
+            ok = lhs == rhs
+            checks.append(AxiomCheck(name, j, ok, None if ok else
+                                     witness.format(lhs, rhs, j=j, k=j + 1)))
 
     return AxiomReport(group, order, antipode_mode, tuple(checks),
                        _printed_conflict(group, order))

@@ -1,9 +1,10 @@
 """Matrices over RatFunc as plain lists of lists, with pure functions.
 
-The product skips zero entries and takes a factor 1 as the other factor.
-Nothing here mutates its arguments.  rank, det and inverse share one
-Gauss-Jordan elimination over the pivot row's nonzero entries, which relies
-on exact field division so there is no pivoting subtlety.
+The product and the Kronecker product skip zero entries and take a factor
+1 as the other factor.  Nothing here mutates its arguments.  rank, det and
+inverse share one Gauss-Jordan elimination over the pivot row's nonzero
+entries, which relies on exact field division so there is no pivoting
+subtlety.
 """
 
 from __future__ import annotations
@@ -108,21 +109,20 @@ def is_constant(A) -> bool:
 
 
 def kron(A, B):
+    """Kronecker product over pairs of nonzero entries, a factor 1
+    contributing the other as it is."""
     ra, ca = shape(A)
     rb, cb = shape(B)
     out = zeros(ra * rb, ca * cb)
-    for i in range(ra):
-        for j in range(ca):
-            a = A[i][j]
-            if a.is_zero:
-                continue
-            for k in range(rb):
-                for l in range(cb):
-                    b = B[k][l]
-                    if not b.is_zero:
-                        # every caller has an identity factor
-                        out[i * rb + k][j * cb + l] = (
-                            b if a.is_one else a if b.is_one else a * b)
+    bnz = [(k, l, b, b.is_one)
+           for k, row in enumerate(B) for l, b in enumerate(row) if b]
+    for i, row in enumerate(A):
+        for j, a in enumerate(row):
+            if a:
+                one = a.is_one
+                for k, l, b, unit in bnz:
+                    out[i * rb + k][j * cb + l] = (
+                        b if one else a if unit else a * b)
     return out
 
 

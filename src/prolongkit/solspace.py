@@ -28,7 +28,7 @@ from . import exprparse
 from . import matrices as mat
 from .diffmod import DiffModule
 from .exprparse import ExprError, validate_doc
-from .ratfield import RatFunc, Sparse
+from .ratfield import RatFunc, Sparse, render_terms
 
 
 class UnrepresentableSolutionError(ValueError):
@@ -133,26 +133,21 @@ _ZERO = RatFunc.zero()
 
 
 def render_sol(e: SolExpr) -> str:
-    """Deterministic text form using the atoms theta and lam."""
-    if e.is_zero:
-        return "0"
-    parts = []
-    for key in sorted(e.terms, reverse=True):
-        a, b = key
-        c = e.terms[key]
-        factors = []
-        cs = exprparse.render(c)
-        if not (c.is_one and (a or b)):
-            if ("+" in cs[1:] or "-" in cs[1:]) and not (
-                    cs.startswith("(") and cs.endswith(")")):
-                cs = f"({cs})"
-            factors.append(cs)
-        if a:
-            factors.append("theta" if a == 1 else f"theta^{a}")
-        if b:
-            factors.append("lam" if b == 1 else f"lam^{b}")
-        parts.append("*".join(factors))
-    return " + ".join(parts)
+    """Deterministic text form using the atoms theta and lam, through
+    ratfield.render_terms.  A term's sign is that of its coefficient's
+    numerator lead, and the text of the coefficient's absolute value is its
+    first factor, parenthesized when it is a sum or difference and left out
+    when it is 1 and theta or lam follows."""
+    terms = []
+    for (a, b), c in sorted(e.terms.items(), reverse=True):
+        sign = 1 if c.num.leading()[1] > 0 else -1
+        cs = exprparse.render(c if sign > 0 else -c)
+        if ("+" in cs[1:] or "-" in cs[1:]) and not (
+                cs.startswith("(") and cs.endswith(")")):
+            cs = f"({cs})"
+        shown = 0 if cs == "1" and (a or b) else 1
+        terms.append((sign, [(cs, shown), ("theta", a), ("lam", b)]))
+    return render_terms(terms)
 
 
 # matrices of SolExpr ------------------------------------------------------

@@ -14,7 +14,8 @@ from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
                                 prolong_morphism, tensor, trivial_module)
 from prolongkit.exprparse import parse_expr, render_matrix
 from prolongkit.ratfield import RatFunc
-from prolongkit.sampling import random_constant_invertible, random_module
+from prolongkit.sampling import (random_constant_invertible, random_module,
+                                 random_poly_ratfunc)
 from prolongkit.solspace import xt_example
 
 
@@ -329,6 +330,43 @@ def test_dsum_blocks():
     M = DiffModule(pmat([["x"]]))
     N = DiffModule(pmat([["t"]]))
     assert render_matrix(dsum(M, N).A) == [["x", "0"], ["0", "t"]]
+
+
+def _xt_module(rng, n):
+    """A seeded n x n module whose every entry has an x*t term: the drawn
+    coefficients are at most 5 in size, so 6*x*t never cancels."""
+    xt = RatFunc.var_x() * RatFunc.var_t()
+    return DiffModule([[random_poly_ratfunc(rng) + xt * 6
+                        for _ in range(n)] for _ in range(n)])
+
+
+def _additivity_map(n, m, i):
+    """The constant block permutation prolong(dsum(M, N), i) ->
+    dsum(prolong(M, i), prolong(N, i)) for an n x n M and an m x m N."""
+    size = (i + 1) * (n + m)
+    P = mat.zeros(size, size)
+    one = RatFunc.one()
+    for r in range(i + 1):
+        for a in range(n):
+            P[r * n + a][r * (n + m) + a] = one
+        for b in range(m):
+            P[(i + 1) * n + r * m + b][r * (n + m) + n + b] = one
+    return P
+
+
+@pytest.mark.parametrize("i", [0, 1, 2, 3])
+def test_prolongation_is_additive(i):
+    rng = random.Random(19)
+    M, N = _xt_module(rng, 2), _xt_module(rng, 1)
+    src = prolong(dsum(M, N), i)
+    dst = dsum(prolong(M, i), prolong(N, i))
+    P = _additivity_map(2, 1, i)
+    assert mat.rank(ModuleMorphism(src, dst, P).P) == (i + 1) * 3
+    if i:
+        # the target's first two blocks of M, exchanged
+        P[:2], P[2:4] = P[2:4], P[:2]
+        with pytest.raises(ValueError, match="morphism condition"):
+            ModuleMorphism(src, dst, P)
 
 
 def test_dual_negates_transpose():

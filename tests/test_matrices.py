@@ -84,6 +84,18 @@ def test_mul_rejects_a_shape_mismatch():
                 pmat([["1", "0"], ["0", "1"]]))
 
 
+def test_kron_matches_the_entrywise_product():
+    # zeros and units in both factors take kron's shortcuts; the other
+    # pairs reach its a * b product, which no structure map does
+    rng = random.Random(19)
+    for ra, ca, rb, cb in itertools.product((1, 2, 3), repeat=4):
+        A = [[rng.choice(_RF_ENTRIES) for _ in range(ca)] for _ in range(ra)]
+        B = [[rng.choice(_RF_ENTRIES) for _ in range(cb)] for _ in range(rb)]
+        want = [[A[r // rb][c // cb] * B[r % rb][c % cb]
+                 for c in range(ca * cb)] for r in range(ra * rb)]
+        assert mat.eq(mat.kron(A, B), want)
+
+
 # elimination over non-constant entries -----------------------------------
 
 # the third row is x * row 0 + t * row 1

@@ -5,6 +5,7 @@ import pytest
 from prolongkit.diffmod import DiffModule, dsum, prolong, tensor
 from prolongkit.exprparse import EvalError, parse_expr
 from prolongkit.ratfield import RatFunc
+from prolongkit.sampling import random_ratfunc
 from prolongkit.solspace import (SolExpr, UnrepresentableSolutionError,
                                  build_fundamental_prolongation, load_solution,
                                  parse_solution, render_sol, sol_nonsingular,
@@ -296,3 +297,23 @@ def test_render_sol_of_mixed_element():
     assert render_sol(e) == ("-3*theta^2 + t/x*theta*lam + 1/x*theta"
                              " + (1/(x + t))*lam^2 + (x + t)")
     assert render_sol(SolExpr.zero()) == "0"
+
+
+@pytest.mark.parametrize("text", [
+    "theta - 3", "x*theta - x", "theta^2 - (x + 1)*theta", "-theta"])
+def test_render_sol_prints_a_negative_term_after_a_minus(text):
+    assert render_sol(parse_solution(text)) == text
+
+
+def test_render_sol_round_trips_negative_coefficients_seeded():
+    rng = random.Random(19)
+    minus = 0
+    for _ in range(150):
+        e = SolExpr({(rng.randint(0, 2), rng.randint(0, 2)):
+                     random_ratfunc(rng) * rng.choice((-1, -2, 3))
+                     for _ in range(rng.randint(1, 4))})
+        text = render_sol(e)
+        assert parse_solution(text) == e, text
+        assert "+ -" not in text
+        minus += " - " in text
+    assert minus > 50
