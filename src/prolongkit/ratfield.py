@@ -14,7 +14,9 @@ Four layers live here:
             with int coefficients and no shared integer factor; the
             denominator's leading coefficient under lexicographic order with
             x > t is positive), so that structural equality decides field
-            equality,
+            equality; a product by 1 makes no polynomial product, and a
+            result with denominator 1 is stored with no gcd and no second
+            normalisation,
   LinDiffOp linear differential operators sum a_q * d^q in a single
             derivation, with the noncommutative product d * a = a * d + a'.
 
@@ -183,7 +185,7 @@ class MPoly(Sparse):
         if terms:
             for key, c in terms.items():
                 if type(c) is not int:
-                    c = Fraction(_scalar(c))
+                    c = _scalar(c)
                     if c.denominator == 1:
                         c = c.numerator
                 if c:
@@ -484,20 +486,24 @@ class RatFunc:
             cs = [*num.terms.values(), *den.terms.values()]
             if any(type(c) is not int for c in cs):
                 l = math.lcm(*[c.denominator for c in cs])
-                num = _poly({k: (c * l).numerator for k, c in num.terms.items()})
-                den = _poly({k: (c * l).numerator for k, c in den.terms.items()})
+                num = _poly({k: c.numerator * (l // c.denominator)
+                             for k, c in num.terms.items()})
+                den = _poly({k: c.numerator * (l // c.denominator)
+                             for k, c in den.terms.items()})
             if den.terms != _ONE_TERMS:
                 _, num, den = gcd(num, den)
         # canonical scaling: strip the common integer content and make the
-        # denominator's leading coefficient positive
-        ig = math.gcd(*den.terms.values())
-        if ig != 1:
-            ig = math.gcd(ig, *num.terms.values())
-        if den.terms[max(den.terms)] < 0:
-            ig = -ig
-        if ig != 1:
-            num = _poly({k: c // ig for k, c in num.terms.items()})
-            den = _poly({k: c // ig for k, c in den.terms.items()})
+        # denominator's leading coefficient positive; a denominator 1 is
+        # canonical as it is (content gcd 1, leading coefficient 1)
+        if den.terms != _ONE_TERMS:
+            ig = math.gcd(*den.terms.values())
+            if ig != 1:
+                ig = math.gcd(ig, *num.terms.values())
+            if den.terms[max(den.terms)] < 0:
+                ig = -ig
+            if ig != 1:
+                num = _poly({k: c // ig for k, c in num.terms.items()})
+                den = _poly({k: c // ig for k, c in den.terms.items()})
         self.num = num
         self.den = den
 
@@ -537,7 +543,9 @@ class RatFunc:
 
     @property
     def is_constant(self) -> bool:
-        return self.num.is_constant and self.den.is_constant
+        n, d = self.num.terms, self.den.terms
+        return (not n or (len(n) == 1 and (0, 0) in n)) and (
+            len(d) == 1 and (0, 0) in d)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant:
@@ -545,12 +553,13 @@ class RatFunc:
         return self.num.constant_value() / self.den.constant_value()
 
     def __bool__(self) -> bool:
-        return not self.num.is_zero
+        return bool(self.num.terms)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         return self.num.terms == other.num.terms and self.den.terms == other.den.terms
 
     def __repr__(self) -> str:
@@ -558,9 +567,10 @@ class RatFunc:
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other) -> RatFunc:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         if not other.num.terms:
             return self
         if not self.num.terms:
@@ -607,12 +617,13 @@ class RatFunc:
         return out
 
     def __mul__(self, other) -> RatFunc:
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
+        if type(other) is not RatFunc:
+            other = _coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         n1, d1 = self.num, self.den
         n2, d2 = other.num, other.den
-        if n1.is_zero or n2.is_zero:
+        if not n1.terms or not n2.terms:
             return _RF_ZERO
         # cross-cancel: reduced inputs leave the cross pairs as the only
         # possible common factors, so the product below is already reduced
@@ -620,7 +631,7 @@ class RatFunc:
             _, n1, d2 = gcd(n1, d2)
         if d1.terms != _ONE_TERMS:
             _, n2, d1 = gcd(n2, d1)
-        return RatFunc(n1 * n2, d1 * d2, _reduce=False)
+        return RatFunc(_times(n1, n2), _times(d1, d2), _reduce=False)
 
     __rmul__ = __mul__
 

@@ -9,7 +9,7 @@ import pytest
 from prolongkit import ratfield
 from prolongkit.hopf import GM, DiffPoly
 from prolongkit.ratfield import LinDiffOp, MPoly, RatFunc, gcd
-from prolongkit.sampling import random_operator, random_ratfunc
+from prolongkit.sampling import random_module, random_operator, random_ratfunc
 from prolongkit.solspace import SolExpr
 
 X = RatFunc.var_x()
@@ -253,6 +253,40 @@ def test_derivations_commute(f):
     assert f.deriv("x").deriv("t") == f.deriv("t").deriv("x")
 
 
+# input gates: integral coefficients are ints ------------------------------
+
+def test_mpoly_stores_integral_coefficients_as_int():
+    p = MPoly({(0, 0): Fraction(6, 3), (1, 0): True, (0, 1): Fraction(1, 2),
+               (1, 1): False})
+    assert p.terms == {(0, 0): 2, (1, 0): 1, (0, 1): Fraction(1, 2)}
+    assert type(p.terms[(0, 0)]) is int and type(p.terms[(1, 0)]) is int
+    assert type(p.terms[(0, 1)]) is Fraction
+
+
+@hypothesis.given(mpolys, nonzero_mpolys)
+@hypothesis.settings(deadline=None)
+def test_fraction_coefficients_clear_by_the_lcm(p, q):
+    # RatFunc(p, q) is RatFunc(l p, l q) for l the lcm of the denominators
+    cs = [*p.terms.values(), *q.terms.values()]
+    l = math.lcm(*[Fraction(c).denominator for c in cs])
+    lp = MPoly({k: int(c * l) for k, c in p.terms.items()})
+    lq = MPoly({k: int(c * l) for k, c in q.terms.items()})
+    f = RatFunc(p, q)
+    assert f == RatFunc(lp, lq)
+    assert_canonical(f)
+
+
+def test_random_module_draws_are_fixed_by_the_seed():
+    A = random_module(random.Random(5), 2).A
+    assert [[(e.num.terms, e.den.terms) for e in row] for row in A] == [
+        [({(2, 1): 5, (1, 0): 5}, {(0, 0): 1}), ({(0, 1): 1}, {(0, 0): 1})],
+        [({(2, 0): 4, (0, 2): -1, (1, 0): 1}, {(0, 0): 2}), ({}, {(0, 0): 1})],
+    ]
+    for row in A:
+        for e in row:
+            assert_canonical(e)
+
+
 # operators ----------------------------------------------------------------
 
 def test_commutation_rule():
@@ -427,6 +461,59 @@ def test_sum_skips_products_by_a_unit_cofactor(monkeypatch, a, b, products):
     monkeypatch.undo()
     assert total == reduced_sum(a, b)
     assert_canonical(total)
+
+
+@pytest.mark.parametrize("a, b, products", [
+    (RatFunc(_x + _t), RatFunc(_x - MPoly.one()), 1),
+    (RatFunc(_x + _t), RatFunc.one(), 0),
+    (RatFunc.one(), RatFunc(_x + _t, _x - _t), 0),
+    (RatFunc(3), RatFunc(_x, _t + MPoly.one()), 1),
+    (RatFunc(_x, _t + MPoly.one()), RatFunc(_t, _x + MPoly.one()), 2),
+    (RatFunc(_x + MPoly.one(), _t), RatFunc(_t * _t, _x * _x - MPoly.one()), 0),
+], ids=["poly*poly", "poly*1", "1*rat", "3*rat", "rat*rat", "cancelled"])
+def test_product_skips_products_by_one(monkeypatch, a, b, products):
+    # a factor 1, a denominator 1 or one left by the cross-cancel among
+    # them, costs no MPoly product
+    calls = []
+    mul = MPoly.__mul__
+
+    def counting(p, q):
+        calls.append((p, q))
+        return mul(p, q)
+    monkeypatch.setattr(MPoly, "__mul__", counting)
+    product = a * b
+    assert len(calls) == products
+    monkeypatch.undo()
+    assert product == RatFunc(a.num * b.num, a.den * b.den)
+    assert_canonical(product)
+
+
+def test_deriv_of_a_polynomial_is_canonical():
+    f = RatFunc((_x * _x * _t).scale(3) - _t.scale(6) + MPoly.one())
+    for var in ("x", "t"):
+        df = f.deriv(var)
+        assert df == RatFunc(f.num.deriv(var))
+        assert_canonical(df)
+    assert not RatFunc(MPoly.const(7)).deriv("x")
+
+
+def test_other_operands_still_coerce():
+    f = RatFunc(_x + _t, _x - MPoly.one())
+    one, two, half = RatFunc.one(), RatFunc(2), RatFunc(Fraction(1, 2))
+    pairs = [
+        (f + 1, f + one), (1 + f, one + f),
+        (f * Fraction(1, 2), f * half), (Fraction(1, 2) * f, half * f),
+        (_x + f, RatFunc(_x) + f), (f / 2, f / two),
+    ]
+    for got, want in pairs:
+        assert type(got) is RatFunc
+        assert got == want
+        assert_canonical(got)
+    assert (f == 1) is (f == one) is False
+    assert (one == 1) is (one == one) is True
+    assert (half == Fraction(1, 2)) is True
+    with pytest.raises(TypeError):
+        f + "a"
 
 
 @pytest.mark.parametrize("d", [MPoly.const(2), _x - _t, (_x * _t).scale(3)],
