@@ -227,26 +227,22 @@ def projection_phi(M: DiffModule) -> ModuleMorphism:
 def product_rule_map(M: DiffModule, N: DiffModule) -> ModuleMorphism:
     """prolong(M (x) N, 1) -> prolong(M, 1) (x) prolong(N, 1).
 
-    The order-0 slot of the source lands once in each mixed slot of the
-    target (the product rule read backwards) and the derivative slot in the
-    derivative-derivative slot.  The target basis is Kronecker-ordered, so
-    the four slots are interleaved rather than contiguous; the constant
+    Slot 0 of a first prolongation is its first block, the order-1
+    coordinates that projection_phi reads, and slot 1 the order-0 block.
+    Source slot r of the pair (p, q) goes to target slot (a, b) for
+    (a, b, r) in (0, 1, 0), (1, 0, 0) and (1, 1, 1): the derivative lands
+    once in each mixed slot (the product rule) and the order-0 slot in the
+    order-0 slot of both factors.  The target basis is Kronecker-ordered,
+    so its four slots are interleaved rather than contiguous; the constant
     matrix has rank 2 * dim(M) * dim(N).
     """
     n, m = M.n, N.n
     nm = n * m
     P = mat.zeros(4 * nm, 2 * nm)
-    for i in range(n):
-        for j in range(m):
-            src0 = i * m + j
-            src1 = nm + src0
-            for a in (0, 1):
-                for b in (0, 1):
-                    row = (a * n + i) * 2 * m + b * m + j
-                    if a != b:
-                        P[row][src0] = _ONE
-                    elif a == 1:
-                        P[row][src1] = _ONE
+    for a, b, r in ((0, 1, 0), (1, 0, 0), (1, 1, 1)):
+        for p in range(n):
+            for q in range(m):
+                P[(a * n + p) * 2 * m + b * m + q][r * nm + p * m + q] = _ONE
     return ModuleMorphism(prolong(tensor(M, N), 1),
                           tensor(prolong(M, 1), prolong(N, 1)), P)
 

@@ -5,7 +5,8 @@ Four layers live here:
   Sparse    the base of every sparse commutative polynomial in the
             package: a map from monomials (exponent tuples, multiplied by
             adding them entry by entry) to nonzero coefficients, with the
-            ring operations on it.  MPoly, solspace's SolExpr and hopf's
+            ring operations on it (a difference is the sum with the
+            negation).  MPoly, solspace's SolExpr and hopf's
             DiffPoly are its subclasses; render_terms is the text of an
             MPoly (through exprparse.render_poly) and of a DiffPoly,
   MPoly     sparse polynomials in x and t over Q with int or Fraction
@@ -82,15 +83,7 @@ class Sparse:
     def __sub__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            v = -c if v is None else v - c
-            if v:
-                out[key] = v
-            else:
-                del out[key]
-        return self._like(out)
+        return self + (-other)
 
     def __neg__(self):
         return self._like({k: -c for k, c in self.terms.items()})
@@ -117,19 +110,16 @@ class Sparse:
             return self.inv() ** -e
         if not e:
             return self._unit()
-        # square only while bits remain, starting from the lowest set bit
-        base = self
-        while not e & 1:
-            base = base * base
-            e >>= 1
-        result = base
-        e >>= 1
-        while e:
-            base = base * base
+        # the result starts at the lowest set bit, and the base is squared
+        # only while bits remain
+        base, result = self, None
+        while True:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
-        return result
+            if not e:
+                return result
+            base = base * base
 
     def inv(self):
         raise ValueError("negative power of a polynomial")
@@ -587,9 +577,8 @@ class RatFunc:
         # with reduced inputs the sum over the lcm denominator can only
         # share factors with g = gcd(d1, d2), so one small gcd suffices
         g, d1r, d2r = gcd(d1, d2)
+        # nonzero: canonical -a has a's denominator, so these cannot cancel
         num = _times(n1, d2r) + _times(n2, d1r)
-        if num.is_zero:
-            return _RF_ZERO
         # the lcm denominator is g * d1r * d2r = d1 * d2r; only g can cancel
         h, num, gr = gcd(num, g)
         den = (_times(d1, d2r) if h.terms == _ONE_TERMS
@@ -663,13 +652,18 @@ class RatFunc:
         """Partial derivative d/dx or d/dt; the two commute."""
         if var not in ("x", "t"):
             raise ValueError(f"unknown derivation {var!r}")
-        if self.den.terms == _ONE_TERMS:
-            return RatFunc(self.num.deriv(var), _reduce=False)
+        # a zero derivative, of a function free of var, is the shared zero
         n, d = self.num, self.den
+        if d.terms == _ONE_TERMS:
+            nd = n.deriv(var)
+            return RatFunc(nd, _reduce=False) if nd.terms else _RF_ZERO
         dd = d.deriv(var)
         if dd.is_zero:
             # d is free of var, so only its factors can cancel against n'
-            _, nd, e = gcd(n.deriv(var), d)
+            nd = n.deriv(var)
+            if not nd.terms:
+                return _RF_ZERO
+            _, nd, e = gcd(nd, d)
             return RatFunc(nd, e, _reduce=False)
         g, e, w = gcd(d, dd)
         # peel the repeated part: f' = (n'e - n w) / (d e).  A factor of d
@@ -749,14 +743,11 @@ class LinDiffOp:
             return NotImplemented
         if self.var != other.var:
             raise ValueError("operators act through different derivations")
-        n = max(len(self.coeffs), len(other.coeffs))
-        zero = RatFunc.zero()
-        out = []
-        for q in range(n):
-            a = self.coeffs[q] if q < len(self.coeffs) else zero
-            b = other.coeffs[q] if q < len(other.coeffs) else zero
-            out.append(a + b)
-        return LinDiffOp(self.var, out)
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        return LinDiffOp(self.var,
+                         [p + q for p, q in zip(a, b)] + list(a[len(b):]))
 
     def __mul__(self, other: LinDiffOp) -> LinDiffOp:
         if not isinstance(other, LinDiffOp):

@@ -184,6 +184,18 @@ def test_verify_unrepresentable_solution_is_input_error(capsys, tmp_path):
     assert "error" in out.err
 
 
+def test_solution_of_the_wrong_size_is_input_error(capsys, tmp_path):
+    mod = tmp_path / "m.json"
+    mod.write_text(CONST_DOC)
+    sol = tmp_path / "s.json"
+    sol.write_text('{"n": 1, "matrix": [["x"]]}')
+    code = main(["verify", str(mod), "-i", "1", "--solution", str(sol)])
+    out = capsys.readouterr()
+    assert code == 2
+    assert out.out == ""
+    assert out.err == "error: solution is 1x1 but the module needs 2x2\n"
+
+
 def test_missing_file_is_input_error(capsys):
     code = main(["prolong", "/nonexistent/m.json", "-i", "1"])
     out = capsys.readouterr()
@@ -426,6 +438,14 @@ BAD_ENTRY_ERRORS = {
     ("x/(lam - lam) + x^t", "solution"):
         "error: {path}: entry (0,1): exponent must be an integer literal "
         "(byte 18)",
+    ("x^(2", "module"):
+        "error: {path}: entry (0,1): expected ')' in exponent, got '' (byte 4)",
+    ("x^(2", "solution"):
+        "error: {path}: entry (0,1): expected ')' in exponent, got '' (byte 4)",
+    ("x^2^64", "module"):
+        "error: {path}: entry (0,1): exponent too large (byte 3)",
+    ("x^2^64", "solution"):
+        "error: {path}: entry (0,1): exponent too large (byte 3)",
 }
 
 
@@ -553,9 +573,12 @@ LONG_INT_DOC = (b'{"n": ' + b"1" * (sys.get_int_max_str_digits() + 1)
 
 
 @pytest.mark.parametrize("doc", ["module", "solution"])
-@pytest.mark.parametrize("data", [DEEP_DOC, LONG_INT_DOC],
-                         ids=["deep", "long-int"])
-def test_hostile_json_is_an_input_error(capsys, tmp_path, data, doc):
+@pytest.mark.parametrize("data, error", [
+    (DEEP_DOC, "document is not valid JSON: "),
+    (LONG_INT_DOC, "document is not valid JSON: "),
+    (b'{"n": 1, "matrix": [["x\xff"]]}', "document is not valid UTF-8: "),
+], ids=["deep", "long-int", "utf8"])
+def test_hostile_json_is_an_input_error(capsys, tmp_path, data, error, doc):
     bad = tmp_path / "bad.json"
     bad.write_bytes(data)
     if doc == "module":
@@ -568,7 +591,7 @@ def test_hostile_json_is_an_input_error(capsys, tmp_path, data, doc):
     out = capsys.readouterr()
     assert code == 2
     assert out.out == ""
-    assert out.err.startswith(f"error: {bad}: document is not valid JSON: ")
+    assert out.err.startswith(f"error: {bad}: {error}")
     assert out.err.count("\n") == 1
 
 # exit-code contract: any argv over small documents exits 0, 1 or 2 and never

@@ -279,6 +279,26 @@ def test_product_rule_map_shapes_and_rank():
         assert mat.rank(pr.P) == 2 * nm
 
 
+def test_product_rule_map_is_the_sum_of_three_slot_maps():
+    # source slot r of the pair (p, q) goes to target slot (a, b): one
+    # Kronecker product E_ar (x) I_n (x) e_b (x) I_m per (a, b, r)
+    def unit(r, c, i, j):
+        return [[RatFunc.from_int(int((k, l) == (i, j))) for l in range(c)]
+                for k in range(r)]
+
+    for n in (1, 2, 3):
+        for m in (1, 2, 3):
+            want = mat.zeros(4 * n * m, 2 * n * m)
+            for a, b, r in ((0, 1, 0), (1, 0, 0), (1, 1, 1)):
+                slot = mat.kron(mat.kron(mat.kron(
+                    unit(2, 2, a, r), mat.identity(n)), unit(2, 1, b, 0)),
+                    mat.identity(m))
+                want = mat.add(want, slot)
+            M = DiffModule(mat.zeros(n, n))
+            N = DiffModule(mat.zeros(m, m))
+            assert mat.eq(product_rule_map(M, N).P, want), (n, m)
+
+
 def test_dual_swap_is_isomorphism_with_triangle_identities():
     rng = random.Random(10)
     for _ in range(5):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from prolongkit import hopf
 from prolongkit.hopf import (GA, GM, DiffPoly, OrderOverflowError,
                              _antipode_table, _counit_table, _delta_table,
                              antipode, check_axioms, coproduct, counit,
@@ -115,6 +116,20 @@ def test_printed_antipode_conflict_flagged_at_one():
     report = check_axioms(GA, 3)
     assert report.printed_antipode_first_conflict == 1
     assert check_axioms(GM, 3).printed_antipode_first_conflict is None
+
+
+@pytest.mark.parametrize("group", [GA, GM])
+@pytest.mark.parametrize("mode", ["derived", "printed"])
+def test_check_axioms_builds_each_table_once(monkeypatch, group, mode):
+    built = []
+    for name in ("_delta_table", "_antipode_table"):
+        def counted(*args, _build=getattr(hopf, name), _name=name, **kw):
+            built.append(_name)
+            return _build(*args, **kw)
+        monkeypatch.setattr(hopf, name, counted)
+    hopf.check_axioms(group, 3, mode)
+    assert sorted(built) == ["_antipode_table", "_antipode_table",
+                             "_delta_table"]
 
 
 def test_printed_antipode_breaks_derivation_axiom():

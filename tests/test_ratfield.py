@@ -350,6 +350,37 @@ def test_zero_operator_is_absorbing():
     assert z.order == -1
 
 
+def test_operator_sum_distributes_and_commutes():
+    rng = random.Random(23)
+    for var in ("x", "t"):
+        for _ in range(6):
+            A, B, C = (random_operator(rng, var, 3) for _ in range(3))
+            assert (A + B) * C == A * C + B * C
+            assert C * (A + B) == C * A + C * B
+            assert A + B == B + A
+
+
+def test_operator_sum_with_cancelling_tops_drops_order():
+    rng = random.Random(31)
+    for var in ("x", "t"):
+        A = random_operator(rng, var, 3)
+        while A.order < 1:
+            A = random_operator(rng, var, 3)
+        low = [random_ratfunc(rng) for _ in range(A.order)]
+        B = LinDiffOp(var, low + [-A.coeffs[-1]])
+        S = A + B
+        assert S.order < A.order
+        assert S == B + A
+        assert S == LinDiffOp(var, [a + b for a, b in zip(A.coeffs, low)])
+
+
+def test_operator_sum_rejects_other_operands():
+    with pytest.raises(ValueError):
+        LinDiffOp.partial("x") + LinDiffOp.partial("t")
+    with pytest.raises(TypeError):
+        LinDiffOp.partial("x") + 1
+
+
 # the operator product against its binomial expansion ----------------------
 
 def binomial_product(A, B):
@@ -495,6 +526,15 @@ def test_deriv_of_a_polynomial_is_canonical():
         assert df == RatFunc(f.num.deriv(var))
         assert_canonical(df)
     assert not RatFunc(MPoly.const(7)).deriv("x")
+
+
+@pytest.mark.parametrize("f, var", [
+    (RatFunc(7), "x"), (T * 3 + 1, "x"), (X, "t"),
+    (RatFunc(_t, _t + MPoly.one()), "x"),
+    (RatFunc(_x, _x.scale(2) - MPoly.one()), "t"),
+], ids=["constant", "poly-in-t", "poly-in-x", "free-of-x", "free-of-t"])
+def test_zero_derivative_is_the_shared_zero(f, var):
+    assert f.deriv(var) is ratfield._RF_ZERO
 
 
 def test_other_operands_still_coerce():
