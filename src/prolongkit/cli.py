@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Reports go to stdout as JSON with sorted keys and no volatile fields, so a
-given invocation is byte-stable; a one-line human summary (with timing)
-goes to stderr.  Exit codes: 0 success, 1 a mathematical check failed,
-2 usage or input errors.
+Each command maps the parsed arguments to a report, a summary and an exit
+code, and does no I/O of its own.  main is the one place that reads the
+clock and writes output: the report to stdout as JSON with sorted keys and
+no volatile fields, so a given invocation is byte-stable, and a one-line
+summary with its timing to stderr.  Exit codes: 0 success, 1 a mathematical
+check failed, 2 usage or input errors.
 """
 
 from __future__ import annotations
@@ -31,33 +33,21 @@ class InputError(Exception):
     """Anything wrong with what the user handed us; exits with code 2."""
 
 
-def _read_file(path: str) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            return fh.read()
-    except OSError as e:
-        raise InputError(f"cannot read {path}: {e.strerror or e}") from e
-
-
 def _load(path: str, load=load_module):
     """What load makes of the document at path, a module by default; an
-    error in the document names the file."""
+    unreadable file or an error in the document names the file."""
     try:
-        return load(_read_file(path))
+        with open(path, "rb") as fh:
+            return load(fh.read())
+    except OSError as e:
+        raise InputError(f"cannot read {path}: {e.strerror or e}") from e
     except ModuleDocError as e:
         raise InputError(f"{path}: {e}") from e
 
 
-def _emit(report: dict, summary: str, code: int) -> int:
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    sys.stderr.write(summary + "\n")
-    return code
-
-
-def _emit_module(command: str, inputs: dict, out, start: float,
-                 summary: str) -> int:
-    """Report the module out; an integer in it past the interpreter's limit
-    on int -> str conversion cannot be printed, an input error."""
+def _module_report(command: str, inputs: dict, out, summary: str):
+    """The report of the module out; an integer in it past the interpreter's
+    limit on int -> str conversion cannot be printed, an input error."""
     try:
         result = {"n": out.n, "matrix": render_matrix(out.A)}
     except ValueError as e:
@@ -65,8 +55,7 @@ def _emit_module(command: str, inputs: dict, out, start: float,
                          f"than {sys.get_int_max_str_digits()} digits)") from e
     report = {"command": command, "inputs": inputs, "outcome": "result",
               "result": result}
-    elapsed = time.perf_counter() - start
-    return _emit(report, f"{command}: {summary} in {elapsed:.3f}s", 0)
+    return report, f"{command}: {summary}", 0
 
 
 def _resolve_seed(args) -> int:
@@ -81,26 +70,21 @@ def _resolve_seed(args) -> int:
     return DEFAULT_SEED
 
 
-# commands -----------------------------------------------------------------
+# commands: each maps the parsed arguments to (report, summary, exit code)
 
-def cmd_prolong(args) -> int:
-    start = time.perf_counter()
+def cmd_prolong(args):
     M = _load(args.file)
-    if args.kind == "binomial":
-        out = prolong(M, args.i)
-    elif args.kind == "lemma":
-        out = prolong_lemma(M, args.i)
-    else:
-        out = iterate_F(M, args.i)
+    op = {"binomial": prolong, "lemma": prolong_lemma,
+          "iterated": iterate_F}[args.kind]
+    out = op(M, args.i)
     inputs = {"file": args.file, "i": args.i, "kind": args.kind,
               "name": M.name}
-    return _emit_module("prolong", inputs, out, start,
-                        f"{M.n}x{M.n} -> {out.n}x{out.n} "
-                        f"({args.kind}, i={args.i})")
+    return _module_report("prolong", inputs, out,
+                          f"{M.n}x{M.n} -> {out.n}x{out.n} "
+                          f"({args.kind}, i={args.i})")
 
 
-def cmd_verify(args) -> int:
-    start = time.perf_counter()
+def cmd_verify(args):
     M = _load(args.file)
     if args.example:
         Y = xt_example()[1]
@@ -116,15 +100,17 @@ def cmd_verify(args) -> int:
     else:
         Yi = build_fundamental_prolongation(Y, args.i)
     check = verify_fundamental(prolonged, Yi)
-    n = M.n
+    mismatch = block = None
     failures = []
     if check.first_mismatch is not None:
         r, c = check.first_mismatch
+        mismatch, block = [r, c], [r // M.n, c // M.n]
         failures.append(
             f"derivative identity fails first at entry ({r},{c}), "
-            f"block ({r // n},{c // n})")
+            f"block ({block[0]},{block[1]})")
     if not check.det_ok:
         failures.append("determinant of the prolonged solution vanishes")
+    word = "pass" if check.passed else "fail"
     report = {
         "command": "verify",
         "inputs": {"file": args.file, "i": args.i,
@@ -132,56 +118,49 @@ def cmd_verify(args) -> int:
                    "solution": args.solution,
                    "strip_binomials": args.strip_binomials,
                    "name": M.name},
-        "outcome": "pass" if check.passed else "fail",
-        "result": {
-            "derivative_ok": check.derivative_ok,
-            "det_ok": check.det_ok,
-            "first_mismatch": list(check.first_mismatch)
-            if check.first_mismatch else None,
-            "first_mismatch_block": [check.first_mismatch[0] // n,
-                                     check.first_mismatch[1] // n]
-            if check.first_mismatch else None,
-        },
+        "outcome": word,
+        "result": {"derivative_ok": check.derivative_ok,
+                   "det_ok": check.det_ok, "first_mismatch": mismatch,
+                   "first_mismatch_block": block},
         "failures": failures,
     }
-    elapsed = time.perf_counter() - start
-    word = "pass" if check.passed else "fail"
-    return _emit(report, f"verify: {word} (i={args.i}, {prolonged.n}x"
-                         f"{prolonged.n}) in {elapsed:.3f}s",
-                 0 if check.passed else 1)
+    return (report, f"verify: {word} (i={args.i}, {prolonged.n}x"
+                    f"{prolonged.n})", 0 if check.passed else 1)
 
 
-# suite -> (function, whether it takes a seed, option -> keyword argument)
+# suite -> (function, option -> keyword argument); a seeded suite lists seed
 _SUITES = {
-    "conjugation": (checksuite.check_conjugation, True,
-                    {"cases": "cases", "n": "max_n", "i": "max_i"}),
-    "embedding": (checksuite.check_embedding, True,
-                  {"cases": "cases", "n": "n"}),
-    "exactness": (checksuite.check_exactness, True,
-                  {"cases": "cases", "n": "max_n", "file": "module"}),
-    "product-rule": (checksuite.check_product_rule, True,
-                     {"cases": "cases", "n": "max_n"}),
-    "dual-swap": (checksuite.check_dual_swap, True,
-                  {"cases": "cases", "n": "max_n"}),
-    "hopf": (checksuite.check_hopf, False,
-             {"group": "group", "order": "order"}),
+    "conjugation": (checksuite.check_conjugation,
+                    {"cases": "cases", "n": "max_n", "i": "max_i",
+                     "seed": "seed"}),
+    "embedding": (checksuite.check_embedding,
+                  {"cases": "cases", "n": "n", "seed": "seed"}),
+    "exactness": (checksuite.check_exactness,
+                  {"cases": "cases", "n": "max_n", "file": "module",
+                   "seed": "seed"}),
+    "product-rule": (checksuite.check_product_rule,
+                     {"cases": "cases", "n": "max_n", "seed": "seed"}),
+    "dual-swap": (checksuite.check_dual_swap,
+                  {"cases": "cases", "n": "max_n", "seed": "seed"}),
+    "hopf": (checksuite.check_hopf, {"group": "group", "order": "order"}),
 }
 
-# every option of `check`; a suite rejects those its entry above does not
-# list, and --seed when it is not seeded
-_CHECK_OPTIONS = ("n", "i", "seed", "cases", "group", "order", "file")
+# every option of `check`, with its add_argument keywords; a suite rejects
+# those its entry above does not list
+_CHECK_OPTIONS = {"n": {"type": int}, "i": {"type": int},
+                  "seed": {"type": int}, "cases": {"type": int},
+                  "group": {"choices": ("ga", "gm")}, "order": {"type": int},
+                  "file": {"metavar": "FILE"}}
 
 # least accepted value of each integer option of `check`
 _CHECK_MINIMA = {"cases": 1, "n": 1, "i": 0, "order": 1}
 
 
-def cmd_check(args) -> int:
-    start = time.perf_counter()
+def cmd_check(args):
     name = args.name
-    func, seeded, options = _SUITES[name]
+    func, options = _SUITES[name]
     for option in _CHECK_OPTIONS:
-        if (getattr(args, option) is not None and option not in options
-                and not (option == "seed" and seeded)):
+        if getattr(args, option) is not None and option not in options:
             raise InputError(f"check {name} does not take --{option}")
     # --file's module replaces the random ones and the options that shape them
     drawn = [o for o in ("n", "seed", "cases") if getattr(args, o) is not None]
@@ -193,38 +172,37 @@ def cmd_check(args) -> int:
             raise InputError(f"--{option} must be >= {least}, got {value}")
     if name == "hopf" and args.group is None:
         raise InputError("check hopf needs --group ga|gm")
-    seed = ()
-    if seeded:
-        # a module from --file is the one case, so nothing is drawn
-        seed = (None if args.file is not None else _resolve_seed(args),)
     kwargs = {kw: getattr(args, option) for option, kw in options.items()
               if getattr(args, option) is not None}
+    if "seed" in options:
+        # a module from --file is the one case, so nothing is drawn
+        kwargs["seed"] = None if args.file is not None else _resolve_seed(args)
     if "module" in kwargs:
         kwargs["module"] = _load(kwargs["module"])
-    result = func(*seed, **kwargs)
+    result = func(**kwargs)
+    word = "pass" if result.passed else "fail"
     report = {
         "command": "check",
         "inputs": {"name": name, "seed": result.seed, "group": args.group,
                    "order": args.order, "n": args.n, "i": args.i,
                    "file": args.file},
-        "outcome": "pass" if result.passed else "fail",
+        "outcome": word,
         "result": {"cases": result.cases, "details": result.details},
         "failures": result.failures,
     }
-    elapsed = time.perf_counter() - start
-    word = "pass" if result.passed else "fail"
-    return _emit(report, f"check {name}: {word} ({result.cases} cases) "
-                         f"in {elapsed:.3f}s", 0 if result.passed else 1)
+    return (report, f"check {name}: {word} ({result.cases} cases)",
+            0 if result.passed else 1)
 
 
-def _binary_command(args, op, label: str) -> int:
-    start = time.perf_counter()
+def cmd_construct(args):
+    """tensor, dual or dsum of the modules at args.a and args.b."""
+    op = {"tensor": tensor, "dual": dual, "dsum": dsum}[args.command]
     modules = [_load(p) for p in (args.a, args.b) if p is not None]
     out = op(*modules)
     inputs = {"a": args.a, "a_name": modules[0].name}
     if args.b is not None:
         inputs.update(b=args.b, b_name=modules[1].name)
-    return _emit_module(label, inputs, out, start, f"-> {out.n}x{out.n}")
+    return _module_report(args.command, inputs, out, f"-> {out.n}x{out.n}")
 
 
 # argument plumbing --------------------------------------------------------
@@ -261,34 +239,25 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="run a named check suite")
     p.add_argument("name", choices=tuple(_SUITES))
-    p.add_argument("--n", type=int)
-    p.add_argument("--i", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--cases", type=int)
-    p.add_argument("--group", choices=("ga", "gm"))
-    p.add_argument("--order", type=int)
-    p.add_argument("--file", metavar="FILE")
+    for option, keywords in _CHECK_OPTIONS.items():
+        p.add_argument(f"--{option}", **keywords)
     p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("tensor", help="tensor product of two modules")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=lambda a: _binary_command(a, tensor, "tensor"))
-
-    p = sub.add_parser("dual", help="dual of a module")
-    p.add_argument("a")
-    p.set_defaults(b=None)
-    p.set_defaults(func=lambda a: _binary_command(a, dual, "dual"))
-
-    p = sub.add_parser("dsum", help="direct sum of two modules")
-    p.add_argument("a")
-    p.add_argument("b")
-    p.set_defaults(func=lambda a: _binary_command(a, dsum, "dsum"))
+    for name, text, operands in (
+            ("tensor", "tensor product of two modules", ("a", "b")),
+            ("dual", "dual of a module", ("a",)),
+            ("dsum", "direct sum of two modules", ("a", "b"))):
+        p = sub.add_parser(name, help=text)
+        for operand in operands:
+            p.add_argument(operand)
+        p.set_defaults(func=cmd_construct, b=None)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command: its JSON report goes to stdout and its summary,
+    timed, to stderr; an input error goes to stderr alone, exit code 2."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
@@ -297,11 +266,16 @@ def main(argv=None) -> int:
         if getattr(args, "i", None) is not None and args.command in (
                 "prolong", "verify") and args.i < 0:
             raise InputError("order must be >= 0")
-        return args.func(args)
+        start = time.perf_counter()
+        report, summary, code = args.func(args)
     except (InputError, ModuleDocError, ExprError,
             UnrepresentableSolutionError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 2
+    elapsed = time.perf_counter() - start
+    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    sys.stderr.write(f"{summary} in {elapsed:.3f}s\n")
+    return code
 
 
 def entry():

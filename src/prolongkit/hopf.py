@@ -239,11 +239,11 @@ def coproduct(e: DiffPoly) -> DiffPoly:
     return _substitute(e, [_delta_table(e.group, e.order)], 2)
 
 
-def antipode(e: DiffPoly, printed: bool = False) -> DiffPoly:
+def antipode(e: DiffPoly) -> DiffPoly:
     """Antipode, 1-leg to 1-leg."""
     if e.legs != 1:
         raise ValueError("antipode takes a 1-leg element")
-    return _substitute(e, [_antipode_table(e.group, e.order, printed)], 1)
+    return _substitute(e, [_antipode_table(e.group, e.order)], 1)
 
 
 def counit(e: DiffPoly) -> Fraction:

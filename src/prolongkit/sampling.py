@@ -17,12 +17,12 @@ def random_fraction(rng: random.Random, bound: int = 5) -> Fraction:
     return Fraction(rng.randint(-bound, bound), rng.randint(1, 4))
 
 
-def random_mpoly(rng: random.Random, max_deg: int = 2, max_terms: int = 3,
-                 bound: int = 5) -> MPoly:
+def random_mpoly(rng: random.Random, max_deg: int = 2,
+                 max_terms: int = 3) -> MPoly:
     terms = {}
     for _ in range(rng.randint(0, max_terms)):
         key = (rng.randint(0, max_deg), rng.randint(0, max_deg))
-        terms[key] = random_fraction(rng, bound)
+        terms[key] = random_fraction(rng)
     return MPoly(terms)
 
 

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -12,6 +13,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from prolongkit import cli
 from prolongkit import matrices as mat
 from prolongkit.cli import main
 from prolongkit.diffmod import dsum
@@ -305,6 +307,52 @@ def test_dsum_command(capsys, tmp_path, xt_file):
     code, report, _ = run(capsys, "dsum", xt_file, xt_file)
     assert code == 0
     assert report["result"]["matrix"] == [["t/x", "0"], ["0", "t/x"]]
+
+
+@pytest.mark.parametrize("argv, code, label", [
+    (["prolong", "XT", "-i", "2"], 0, "prolong"),
+    (["verify", "XT", "-i", "2", "--example", "xt"], 0, "verify"),
+    (["verify", "XT", "-i", "2", "--example", "xt", "--strip-binomials"], 1,
+     "verify"),
+    (["check", "hopf", "--group", "ga"], 0, "check hopf"),
+    (["check", "conjugation", "--cases", "1"], 0, "check conjugation"),
+    (["tensor", "XT", "XT"], 0, "tensor"),
+    (["dual", "XT"], 0, "dual"),
+    (["dsum", "XT", "XT"], 0, "dsum"),
+])
+def test_every_command_writes_one_report_and_one_timed_line(
+        capsys, xt_file, argv, code, label):
+    got = main([xt_file if a == "XT" else a for a in argv])
+    out = capsys.readouterr()
+    assert got == code
+    assert json.loads(out.out)["command"] == argv[0]
+    assert re.fullmatch(rf"{re.escape(label)}: .* in \d+\.\d{{3}}s\n",
+                        out.err), out.err
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("prolong", ["prolong", "XT", "-i", "2"]),
+    ("prolong_lemma", ["prolong", "XT", "-i", "2", "--kind", "lemma"]),
+    ("iterate_F", ["prolong", "XT", "-i", "2", "--kind", "iterated"]),
+    ("tensor", ["tensor", "XT", "XT"]),
+    ("dual", ["dual", "XT"]),
+    ("dsum", ["dsum", "XT", "XT"]),
+    ("verify_fundamental", ["verify", "XT", "-i", "2", "--example", "xt"]),
+])
+def test_commands_look_their_functions_up_when_called(
+        capsys, monkeypatch, xt_file, name, argv):
+    # a tracer that rebinds the module's globals must see every call
+    calls = []
+    original = getattr(cli, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counting)
+    assert main([xt_file if a == "XT" else a for a in argv]) == 0
+    capsys.readouterr()
+    assert calls == [name]
 
 
 def test_negative_order_rejected(capsys, xt_file):

@@ -195,6 +195,10 @@ def test_non_square_det_and_inverse_raise(fn):
         fn(pmat([["x", "t", "1"], ["1", "x", "t"]]))
 
 
+def test_matrices_of_different_shapes_are_not_equal():
+    assert not mat.eq(pmat([["x", "t"]]), pmat([["x"], ["t"]]))
+
+
 # the elimination against a dense reference -------------------------------
 
 def _dense_gauss_jordan(A, cols):

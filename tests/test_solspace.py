@@ -317,3 +317,14 @@ def test_render_sol_round_trips_negative_coefficients_seeded():
         assert "+ -" not in text
         minus += " - " in text
     assert minus > 50
+
+
+def test_negative_powers_of_coefficients_are_inverses():
+    assert parse_solution("x^-1") == SolExpr.from_ratfunc(parse_expr("1/x"))
+    assert (parse_solution("(x + t)^-2*theta")
+            == parse_solution("theta/(x + t)^2"))
+
+
+def test_sol_nonsingular_rejects_a_non_square_matrix():
+    with pytest.raises(ValueError, match="non-square"):
+        sol_nonsingular([[TH, LA]])
