@@ -13,7 +13,7 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
-from prolongkit import cli
+from prolongkit import checks, cli
 from prolongkit import matrices as mat
 from prolongkit.cli import main
 from prolongkit.diffmod import dsum
@@ -338,18 +338,21 @@ def test_every_command_writes_one_report_and_one_timed_line(
     ("dual", ["dual", "XT"]),
     ("dsum", ["dsum", "XT", "XT"]),
     ("verify_fundamental", ["verify", "XT", "-i", "2", "--example", "xt"]),
+    ("check_exactness", ["check", "exactness", "--cases", "1"]),
 ])
 def test_commands_look_their_functions_up_when_called(
         capsys, monkeypatch, xt_file, name, argv):
-    # a tracer that rebinds the module's globals must see every call
+    # a tracer that rebinds the module's globals must see every call; `check`
+    # finds its suite in checks by name
+    owner = checks if name.startswith("check_") else cli
     calls = []
-    original = getattr(cli, name)
+    original = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(cli, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     assert main([xt_file if a == "XT" else a for a in argv]) == 0
     capsys.readouterr()
     assert calls == [name]
