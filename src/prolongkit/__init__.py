@@ -10,8 +10,6 @@ its submodule on every access, so it is always that submodule's current
 binding.
 """
 
-import importlib
-
 __version__ = "0.1.0"
 
 # submodule -> the public names it defines, in the order of __all__; each
@@ -44,12 +42,18 @@ _ORIGIN = {name: module for module, names in _MODULES.items()
 __all__ = list(_ORIGIN)
 
 
+def _submodule(module):
+    # __import__, not importlib.import_module, whose path skips the
+    # interpreter's import timer, so `-X importtime` lists the submodule; a
+    # non-empty fromlist makes it return the submodule, not the package
+    return __import__(f"{__name__}.{module}", fromlist=("_",))
+
+
 def __getattr__(name):
     if name in _ORIGIN:
-        return getattr(importlib.import_module(f"prolongkit.{_ORIGIN[name]}"),
-                       name)
+        return getattr(_submodule(_ORIGIN[name]), name)
     if name in _MODULES:
-        return importlib.import_module(f"prolongkit.{name}")
+        return _submodule(name)
     raise AttributeError(f"module 'prolongkit' has no attribute {name!r}")
 
 

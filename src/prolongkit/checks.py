@@ -3,30 +3,33 @@ identities, shared between the CLI and the acceptance tests.
 
 Each suite returns a CheckResult whose details dictionary is JSON-ready and
 deterministic for a given seed.
+
+Importing this module loads the module side alone (ratfield, matrices,
+diffmod, sampling): no parser, no solution space, no json and, like every
+module of the package, no dataclasses; its running example comes from
+diffmod.xt_module, and check_hopf imports hopf when it runs.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import chain
 
 from . import matrices as mat
 from .diffmod import (DiffModule, change_basis_matrix, conjugate_constant,
                       dual, dual_morphism, dual_swap_g, embedding_E,
                       inclusion_i, product_rule_map, projection_phi, prolong,
-                      prolong_lemma)
+                      prolong_lemma, xt_module)
 from .sampling import random_module
-from .solspace import xt_example
 
 
-@dataclass
-class CheckResult:
-    name: str
-    cases: int
-    seed: int | None
-    failures: list[str]
-    details: dict
+class CheckResult(namedtuple("CheckResult",
+                             "name cases seed failures details")):
+    """A suite's name, case count and seed (None when not seeded), the list
+    of failure lines and the details dictionary."""
+
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -78,7 +81,7 @@ def check_embedding(seed: int, cases: int = 50, n: int = 2,
 
     return _run("embedding", seed, cases, {"n": n, "max_deg": max_deg},
                 lambda rng: random_module(rng, n, max_deg), probe,
-                given=[("xt example", xt_example()[0])])
+                given=[("xt example", xt_module())])
 
 
 def check_exactness(seed: int | None, cases: int = 100, max_n: int = 3,

@@ -63,6 +63,16 @@ def trivial_module() -> DiffModule:
     return DiffModule([[RatFunc.zero()]])
 
 
+# t/x, the entry of the running example, reduced once
+_T_OVER_X = RatFunc.var_t() / RatFunc.var_x()
+
+
+def xt_module() -> DiffModule:
+    """The running 1-dimensional example, system matrix (t/x), solved by
+    x^t; solspace.xt_example pairs it with that solution."""
+    return DiffModule([[_T_OVER_X]], name="xt")
+
+
 class ModuleMorphism:
     """A matrix P with d_x P = dst.A P - P src.A; checked at construction."""
 

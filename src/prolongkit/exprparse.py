@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import matrices as mat
 from .diffmod import DiffModule
@@ -366,13 +366,11 @@ def parse_entries(entries, parse, errors):
     return rows
 
 
-@dataclass(frozen=True)
-class ModuleDoc:
-    """Validated but unevaluated module document."""
+class ModuleDoc(namedtuple("ModuleDoc", "n entries name", defaults=(None,))):
+    """Validated but unevaluated module document: n, the entry strings as a
+    tuple of row tuples, and the name or None."""
 
-    n: int
-    entries: tuple[tuple[str, ...], ...]
-    name: str | None = None
+    __slots__ = ()
 
     @classmethod
     def parse(cls, data) -> ModuleDoc:

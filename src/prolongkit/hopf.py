@@ -29,7 +29,7 @@ which first disagrees at order 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .ratfield import Sparse, _scalar, render_terms
@@ -254,21 +254,21 @@ def counit(e: DiffPoly) -> Fraction:
 
 # axiom checking -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class AxiomCheck:
-    axiom: str
-    generator: int
-    passed: bool
-    witness: str | None = None
+class AxiomCheck(namedtuple("AxiomCheck", "axiom generator passed witness",
+                            defaults=(None,))):
+    """One axiom on one generator y_j; witness is the failure's text, or
+    None."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class AxiomReport:
-    group: str
-    order: int
-    antipode_mode: str
-    checks: tuple[AxiomCheck, ...]
-    printed_antipode_first_conflict: int | None
+class AxiomReport(namedtuple(
+        "AxiomReport", "group order antipode_mode checks "
+        "printed_antipode_first_conflict")):
+    """Every AxiomCheck of one check_axioms run, a tuple in run order, and
+    the first order at which the printed antipode conflicts, or None."""
+
+    __slots__ = ()
 
     @property
     def all_passed(self) -> bool:

@@ -22,11 +22,11 @@ with SolExpr leaves.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import exprparse
 from . import matrices as mat
-from .diffmod import DiffModule
+from .diffmod import _T_OVER_X, DiffModule, xt_module
 from .exprparse import ExprError, validate_doc
 from .ratfield import RatFunc, Sparse, render_terms
 
@@ -125,10 +125,7 @@ class SolExpr(Sparse):
         return out
 
 
-_X = RatFunc.var_x()
-_T = RatFunc.var_t()
-_T_OVER_X = _T / _X
-_ONE_OVER_X = RatFunc.one() / _X
+_ONE_OVER_X = RatFunc.one() / RatFunc.var_x()
 _ZERO = RatFunc.zero()
 
 
@@ -214,14 +211,13 @@ def unweighted_prolongation(Y, i: int):
     return mat.prolongation(Y, i, lambda r, c: 1)
 
 
-@dataclass(frozen=True)
-class FundamentalCheck:
+class FundamentalCheck(namedtuple(
+        "FundamentalCheck", "derivative_ok first_mismatch det_ok")):
     """Outcome of verify_fundamental: the transport identity d_x Y = A Y
-    checked entrywise, plus formal invertibility of Y."""
+    checked entrywise (derivative_ok, and first_mismatch, a (row, col) or
+    None), plus formal invertibility of Y (det_ok)."""
 
-    derivative_ok: bool
-    first_mismatch: tuple[int, int] | None
-    det_ok: bool
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -247,8 +243,7 @@ def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:
 def xt_example() -> tuple[DiffModule, list[list[SolExpr]]]:
     """The running 1-dimensional example: system matrix (t/x), solved by
     theta = x^t."""
-    module = DiffModule([[_T_OVER_X]], name="xt")
-    return module, [[SolExpr.theta()]]
+    return xt_module(), [[SolExpr.theta()]]
 
 
 # parsing solution documents -----------------------------------------------

@@ -174,3 +174,17 @@ def test_passed_follows_the_failures():
     assert res.passed and res.failures == []
     res.failures.append("given module: marked by hand")
     assert not res.passed
+
+
+def test_the_embedding_suite_runs_the_running_example(monkeypatch):
+    seen = []
+
+    def recording(M):
+        seen.append(M)
+        return diffmod.embedding_E(M)
+
+    monkeypatch.setattr(checks, "embedding_E", recording)
+    assert checks.check_embedding(SEED, cases=0).passed
+    M = xt_example()[0]
+    assert len(seen) == 1
+    assert seen[0] == M and seen[0].name == M.name == "xt"

@@ -83,17 +83,30 @@ def test_traced_names_are_defined_by_their_owner(qualname):
     assert inspect.isfunction(vars(owner).get(attr)), qualname
 
 
-def _loaded_after(code: str) -> set[str]:
-    """The package modules a fresh interpreter holds after running code."""
-    code += ("\nimport json, sys\nprint(json.dumps(sorted("
-             "m for m in sys.modules if m.split('.')[0] == 'prolongkit')))")
+def _fresh(args: list[str]) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter on args with this checkout's src/ first on
+    the path."""
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True, timeout=60).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    return subprocess.run([sys.executable] + args, capture_output=True,
+                          text=True, env=env, check=True, timeout=60)
+
+
+def _added_by(code: str) -> set[str]:
+    """Every module, the package's or the standard library's, that a fresh
+    interpreter adds to sys.modules while running code; recorded before the
+    report imports json."""
+    code = (f"import sys\n_before = set(sys.modules)\n{code}\n"
+            "_added = sorted(set(sys.modules) - _before)\n"
+            "import json\nprint(json.dumps(_added))")
+    return set(json.loads(_fresh(["-c", code]).stdout.splitlines()[-1]))
+
+
+def _loaded_after(code: str) -> set[str]:
+    """The package modules a fresh interpreter holds after running code."""
+    return {m for m in _added_by(code) if m.split(".")[0] == "prolongkit"}
 
 
 def test_importing_the_field_layer_loads_only_the_field_layer():
@@ -107,6 +120,54 @@ def test_importing_sampling_loads_only_what_it_imports():
         "prolongkit.diffmod", "prolongkit.sampling"}
 
 
+# dataclasses pulls in inspect (and with it ast, dis and tokenize)
+HEAVY_STDLIB = {"json", "dataclasses", "inspect"}
+
+
+def test_importing_the_check_suites_loads_only_the_module_side():
+    added = _added_by("import prolongkit.checks")
+    assert {m for m in added if m.split(".")[0] == "prolongkit"} == {
+        "prolongkit", "prolongkit.ratfield", "prolongkit.matrices",
+        "prolongkit.diffmod", "prolongkit.sampling", "prolongkit.checks"}
+    assert not added & HEAVY_STDLIB
+
+
+def test_no_module_of_the_package_loads_dataclasses():
+    package = Path(prolongkit.__file__).parent
+    code = "\n".join(f"import prolongkit.{path.stem}"
+                     for path in sorted(package.glob("*.py"))
+                     if not path.stem.startswith("__"))
+    added = _added_by(code)
+    assert "prolongkit.cli" in added
+    assert not added & {"dataclasses", "inspect"}
+
+
+def _imported_under(parent: str) -> set[str]:
+    """The modules `-X importtime` lists as imported while a fresh
+    interpreter imported parent."""
+    lines = [line.rsplit("|", 1)[1] for line in _fresh(
+        ["-X", "importtime", "-c", f"import {parent}"]).stderr.splitlines()
+        if line.startswith("import time:")]
+    tree = [(len(name) - len(name.lstrip()), name.strip()) for name in lines]
+    at = [name for _, name in tree].index(parent)
+    under = set()
+    for depth, name in reversed(tree[:at]):
+        if depth <= tree[at][0]:
+            break
+        under.add(name)
+    return under
+
+
+@pytest.mark.parametrize("parent, child", [
+    ("prolongkit.diffmod", "prolongkit.matrices"),
+    ("prolongkit.solspace", "prolongkit.exprparse"),
+])
+def test_import_time_lists_submodules_imported_through_the_package(
+        parent, child):
+    # `from . import matrices` resolves through the package's __getattr__
+    assert child in _imported_under(parent)
+
+
 SUITE_MODULES = {"prolongkit.checks", "prolongkit.hopf",
                  "prolongkit.sampling"}
 
@@ -117,9 +178,11 @@ def test_only_check_loads_the_suites_and_the_hopf_algebras(tmp_path):
     quiet = ("import contextlib, io\nfrom prolongkit import cli\n"
              "with contextlib.redirect_stdout(io.StringIO()), "
              "contextlib.redirect_stderr(io.StringIO()):\n")
-    prolong = _loaded_after(
+    prolong = _added_by(
         quiet + f"    assert cli.main(['prolong', {str(doc)!r}, '-i', '1']) == 0")
     assert not prolong & SUITE_MODULES
+    # the CLI reads JSON documents, so of HEAVY_STDLIB it loads json alone
+    assert prolong & HEAVY_STDLIB == {"json"}
     check = _loaded_after(
         quiet + "    assert cli.main(['check', 'hopf', '--group', 'gm', "
                 "'--order', '3']) == 0")
@@ -148,3 +211,49 @@ def test_a_submodule_is_an_attribute_of_the_bare_package():
 def test_an_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         prolongkit.no_such_name
+
+
+# (module, a record built from it, the repr it had as a dataclass); the
+# records with a defaulted last field leave it out
+RECORDS = [
+    ("checks", lambda m: m.CheckResult(
+        "embedding", 3, 11, ["case 0: rank 0 != 6"], {"n": 2, "max_deg": 2}),
+     "CheckResult(name='embedding', cases=3, seed=11, "
+     "failures=['case 0: rank 0 != 6'], details={'n': 2, 'max_deg': 2})"),
+    ("exprparse", lambda m: m.ModuleDoc(1, (("t/x",),)),
+     "ModuleDoc(n=1, entries=(('t/x',),), name=None)"),
+    ("solspace", lambda m: m.FundamentalCheck(False, (2, 1), True),
+     "FundamentalCheck(derivative_ok=False, first_mismatch=(2, 1), "
+     "det_ok=True)"),
+    ("hopf", lambda m: m.AxiomCheck("counit", 0, True),
+     "AxiomCheck(axiom='counit', generator=0, passed=True, witness=None)"),
+    ("hopf", lambda m: m.AxiomReport(
+        "ga", 2, "derived", (m.AxiomCheck("antipode", 1, False, "y_1"),), 1),
+     "AxiomReport(group='ga', order=2, antipode_mode='derived', "
+     "checks=(AxiomCheck(axiom='antipode', generator=1, passed=False, "
+     "witness='y_1'),), printed_antipode_first_conflict=1)"),
+]
+DEFAULTS = {"ModuleDoc": {"name": None}, "AxiomCheck": {"witness": None}}
+
+
+@pytest.mark.parametrize("module, build, text", RECORDS,
+                         ids=[text.split("(")[0] for _, _, text in RECORDS])
+def test_records_keep_their_fields_repr_defaults_and_are_read_only(
+        module, build, text):
+    record = build(importlib.import_module(f"prolongkit.{module}"))
+    cls = type(record)
+    assert repr(record) == text
+    fields = cls._fields
+    values = [getattr(record, f) for f in fields]
+    assert cls(*values) == record
+    assert cls(*values[:-1], "other") != record
+    defaults = DEFAULTS.get(cls.__name__, {})
+    assert cls._field_defaults == defaults
+    if not defaults:
+        with pytest.raises(TypeError):
+            cls(*values[:-1])
+    for field in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, values[0])
+    with pytest.raises(AttributeError):
+        record.extra = 1
