@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from collections import namedtuple
 
 from . import matrices as mat
@@ -79,6 +80,9 @@ MAX_DEPTH = 100
 def _tokenize(text: str):
     """(kind, value, byte_offset) triples; kinds INT, NAME, OP, END."""
     tokens = []
+    # or the interpreter's limit if lower (none before Python 3.10.7)
+    limit = min(MAX_DIGITS,
+                getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)
     for m in _TOKEN.finditer(text):
         kind = m.lastgroup
         if kind is None:
@@ -87,8 +91,8 @@ def _tokenize(text: str):
             break
         if kind == "BAD":
             raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        if kind == "INT" and len(m[kind]) > MAX_DIGITS:
-            raise ParseError(f"integer literal of more than {MAX_DIGITS} "
+        if kind == "INT" and len(m[kind]) > limit:
+            raise ParseError(f"integer literal of more than {limit} "
                              "digits", m.start(kind))
         tokens.append((kind, m[kind], m.start(kind)))
     return tokens

@@ -1,10 +1,10 @@
 """Matrices over RatFunc as plain lists of lists, with pure functions.
 
-The product and the Kronecker product skip zero entries and take a factor
-1 as the other factor.  Nothing here mutates its arguments.  rank, det and
-inverse share one Gauss-Jordan elimination over the pivot row's nonzero
-entries, which relies on exact field division so there is no pivoting
-subtlety.
+The product and the Kronecker product skip zero entries, and leave a
+factor 1 to the entries' own product.  Nothing here mutates its arguments.
+rank, det and inverse share one Gauss-Jordan elimination over the pivot
+row's nonzero entries, which relies on exact field division so there is no
+pivoting subtlety.
 """
 
 from __future__ import annotations
@@ -46,9 +46,9 @@ def scale(A, s):
 
 
 def mul(A, B):
-    """A times B over pairs of nonzero entries, a factor 1 contributing the
-    other as it is.  B's entries may be anything a RatFunc scales (SolExpr);
-    the product's zero is taken from B."""
+    """A times B over pairs of nonzero entries.  B's entries may be anything
+    a RatFunc scales (SolExpr), so each stays the left operand; the
+    product's zero is taken from B."""
     rows, inner = shape(A)
     inner2, cols = shape(B)
     if inner != inner2:
@@ -56,15 +56,14 @@ def mul(A, B):
     if not cols:
         return [[] for _ in A]
     z = B[0][0] * _ZERO
-    brows = [[(j, b, b == _ONE) for j, b in enumerate(row) if b] for row in B]
+    brows = [[(j, b) for j, b in enumerate(row) if b] for row in B]
     out = []
     for ra in A:
         acc = [z] * cols
         for a, brow in zip(ra, brows):
             if a:
-                one = a.is_one
-                for j, b, unit in brow:
-                    acc[j] = acc[j] + (b if one else a if unit else b * a)
+                for j, b in brow:
+                    acc[j] = acc[j] + b * a
         out.append(acc)
     return out
 
@@ -109,20 +108,17 @@ def is_constant(A) -> bool:
 
 
 def kron(A, B):
-    """Kronecker product over pairs of nonzero entries, a factor 1
-    contributing the other as it is."""
+    """Kronecker product over pairs of nonzero entries."""
     ra, ca = shape(A)
     rb, cb = shape(B)
     out = zeros(ra * rb, ca * cb)
-    bnz = [(k, l, b, b.is_one)
+    bnz = [(k, l, b)
            for k, row in enumerate(B) for l, b in enumerate(row) if b]
     for i, row in enumerate(A):
         for j, a in enumerate(row):
             if a:
-                one = a.is_one
-                for k, l, b, unit in bnz:
-                    out[i * rb + k][j * cb + l] = (
-                        b if one else a if unit else a * b)
+                for k, l, b in bnz:
+                    out[i * rb + k][j * cb + l] = a * b
     return out
 
 
@@ -178,7 +174,7 @@ def prolongation(X, i: int, weight):
 
 def _reduce(M, cols: int) -> tuple[list[RatFunc], int]:
     """Gauss-Jordan elimination of M in place on its first `cols` columns,
-    over the pivot row's nonzero entries; a factor of 1 is never multiplied.
+    over the pivot row's nonzero entries; a pivot 1 takes no scaling pass.
 
     Returns the pivots and the number of row swaps.  The number of pivots
     is the rank of the first `cols` columns, and their pivot rows come
@@ -198,14 +194,13 @@ def _reduce(M, cols: int) -> tuple[list[RatFunc], int]:
         pivots.append(p)
         if not p.is_one:
             inv = _ONE / p
-            M[r] = [(inv if w.is_one else w * inv) if w else w for w in M[r]]
-        nz = [(j, w, w.is_one) for j, w in enumerate(M[r]) if w]
+            M[r] = [w * inv if w else w for w in M[r]]
+        nz = [(j, w) for j, w in enumerate(M[r]) if w]
         for i, row in enumerate(M):
             f = row[c]
             if f and i != r:
-                unit = f.is_one
-                for j, w, one in nz:
-                    row[j] = row[j] - (w if unit else f if one else f * w)
+                for j, w in nz:
+                    row[j] = row[j] - f * w
     return pivots, swaps
 
 
@@ -220,8 +215,7 @@ def det(A) -> RatFunc:
     pivots, swaps = _reduce([list(row) for row in A], cols)
     if len(pivots) < cols:
         return RatFunc.zero()
-    return math.prod((p for p in pivots if not p.is_one),
-                     start=RatFunc.from_int((-1) ** swaps))
+    return math.prod(pivots, start=RatFunc.from_int((-1) ** swaps))
 
 
 def inverse(A):

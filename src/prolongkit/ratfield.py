@@ -10,12 +10,13 @@ Four layers live here:
             DiffPoly are its subclasses; render_terms is the text of an
             MPoly (through exprparse.render_poly) and of a DiffPoly,
   MPoly     sparse polynomials in x and t over Q with int or Fraction
-            coefficients, specialising only the product,
+            coefficients, specialising only the product, in which a
+            factor 1 is the other factor itself,
   RatFunc   rational functions kept in canonical form (coprime polynomials
             with int coefficients and no shared integer factor; the
             denominator's leading coefficient under lexicographic order with
             x > t is positive), so that structural equality decides field
-            equality; a product by 1 makes no polynomial product, and a
+            equality; a product by 1 is the other operand itself, and a
             result with denominator 1 is stored with no gcd and no second
             normalisation,
   LinDiffOp linear differential operators sum a_q * d^q in a single
@@ -228,6 +229,10 @@ class MPoly(Sparse):
     def __mul__(self, other: MPoly) -> MPoly:
         if not isinstance(other, MPoly):
             return NotImplemented
+        if other.terms == _ONE_TERMS:
+            return self
+        if self.terms == _ONE_TERMS:
+            return other
         acc: dict[Term, int | Fraction] = {}
         B = list(other.terms.items())
         for (ax, at), ac in self.terms.items():
@@ -436,13 +441,6 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
             xi = 2 * xi + 1
 
 
-def _times(p: MPoly, q: MPoly) -> MPoly:
-    """p * q, where a factor 1 costs no product."""
-    if q.terms == _ONE_TERMS:
-        return p
-    return q if p.terms == _ONE_TERMS else p * q
-
-
 # ---------------------------------------------------------------------------
 
 class RatFunc:
@@ -578,11 +576,10 @@ class RatFunc:
         # share factors with g = gcd(d1, d2), so one small gcd suffices
         g, d1r, d2r = gcd(d1, d2)
         # nonzero: canonical -a has a's denominator, so these cannot cancel
-        num = _times(n1, d2r) + _times(n2, d1r)
+        num = n1 * d2r + n2 * d1r
         # the lcm denominator is g * d1r * d2r = d1 * d2r; only g can cancel
         h, num, gr = gcd(num, g)
-        den = (_times(d1, d2r) if h.terms == _ONE_TERMS
-               else _times(_times(gr, d1r), d2r))
+        den = d1 * d2r if h.terms == _ONE_TERMS else gr * d1r * d2r
         return RatFunc(num, den, _reduce=False)
 
     __radd__ = __add__
@@ -614,13 +611,17 @@ class RatFunc:
         n2, d2 = other.num, other.den
         if not n1.terms or not n2.terms:
             return _RF_ZERO
+        if n2.terms == _ONE_TERMS and d2.terms == _ONE_TERMS:
+            return self
+        if n1.terms == _ONE_TERMS and d1.terms == _ONE_TERMS:
+            return other
         # cross-cancel: reduced inputs leave the cross pairs as the only
         # possible common factors, so the product below is already reduced
         if d2.terms != _ONE_TERMS:
             _, n1, d2 = gcd(n1, d2)
         if d1.terms != _ONE_TERMS:
             _, n2, d1 = gcd(n2, d1)
-        return RatFunc(_times(n1, n2), _times(d1, d2), _reduce=False)
+        return RatFunc(n1 * n2, d1 * d2, _reduce=False)
 
     __rmul__ = __mul__
 

@@ -613,6 +613,21 @@ def test_python_dash_m_runs_the_cli():
     assert json.loads(proc.stdout)["outcome"] == "pass"
 
 
+def test_a_lower_interpreter_digit_limit_is_an_input_error(tmp_path):
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="1000")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    doc = tmp_path / "m.json"
+    doc.write_text(json.dumps({"n": 1, "matrix": [["7" * 2000]]}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "prolongkit", "prolong", "-i", "1", str(doc)],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"error: {doc}: entry (0,0): integer literal of "
+                           "more than 1000 digits (byte 0)\n")
+
 
 # json.loads raises a RecursionError for deep nesting and a plain ValueError
 # for an integer past the interpreter's limit on str -> int conversion, not

@@ -1,5 +1,6 @@
 import ast
 import random
+import sys
 
 import hypothesis
 import hypothesis.strategies as st
@@ -259,6 +260,25 @@ def test_integer_literal_length_limit():
             parse_expr(text)
         assert (e.value.message, e.value.offset) == (
             f"integer literal of more than {MAX_DIGITS} digits", offset)
+
+
+@pytest.fixture
+def int_digits_1000():
+    """The interpreter's int <-> str limit lowered to 1000 digits, then
+    restored."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1000)
+    yield
+    sys.set_int_max_str_digits(old)
+
+
+def test_a_lower_interpreter_digit_limit_applies(int_digits_1000):
+    assert parse_expr("9" * 1000) == RatFunc.from_int(10 ** 1000 - 1)
+    for text, offset in (("7" * 2000, 0), ("x^" + "1" * 1001, 2)):
+        with pytest.raises(ParseError) as e:
+            parse_expr(text)
+        assert (e.value.message, e.value.offset) == (
+            "integer literal of more than 1000 digits", offset)
 
 
 def test_long_flat_chains_evaluate():

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 import pytest
 
 from prolongkit import matrices as mat
+from prolongkit import ratfield
 from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
                                 conjugate_constant, dual_swap_g, embedding_E,
                                 inclusion_i, is_morphism, product_rule_map,
@@ -280,12 +281,14 @@ def test_structure_maps_match_the_dense_elimination(n):
 
 @pytest.fixture
 def products(monkeypatch):
-    """The RatFunc products made from here on, as pairs of factors."""
+    """The RatFunc products made from here on by two factors other than 1,
+    as pairs of factors; a product by 1 returns at once, so it is no work."""
     calls = []
     mul = RatFunc.__mul__
 
     def counting(a, b):
-        calls.append((a, b))
+        if a != 1 and b != 1:
+            calls.append((a, b))
         return mul(a, b)
     monkeypatch.setattr(RatFunc, "__mul__", counting)
     return calls
@@ -302,6 +305,45 @@ def test_elimination_of_a_0_1_structure_map_makes_no_product(products, n):
     assert ranks == [n, n, 2 * n, 2 * n]
     assert det == RatFunc.from_int((-1) ** n)
     assert mat.eq(inverse, maps[3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_elimination_of_a_0_1_structure_map_makes_no_gcd(monkeypatch, n):
+    maps = _structure_maps(n)[:4]
+    calls = []
+    gcd = ratfield.gcd
+
+    def counting(p, q):
+        calls.append((p, q))
+        return gcd(p, q)
+    monkeypatch.setattr(ratfield, "gcd", counting)
+    ranks = [mat.rank(P) for P in maps]
+    det, inverse = mat.det(maps[3]), mat.inverse(maps[3])
+    assert calls == []
+    assert ranks == [n, n, 2 * n, 2 * n]
+    assert det == RatFunc.from_int((-1) ** n)
+    assert mat.eq(inverse, maps[3])
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_products_by_the_identity_keep_the_entry_objects(n):
+    # a 1 of A meets a 1 of the identity, and either factor is the other,
+    # so only A's other nonzero entries are checked by identity
+    rng = random.Random(n)
+    A = [[rng.choice(_RF_ENTRIES) for _ in range(n)] for _ in range(n)]
+    I = mat.identity(n)
+
+    def same(g, a):
+        return g is a if a != 1 else g == 1
+    for got in (mat.mul(I, A), mat.mul(A, I)):
+        assert mat.eq(got, A)
+        assert all(same(g, a) for row, arow in zip(got, A)
+                   for g, a in zip(row, arow) if a)
+    K = mat.kron(I, A)
+    assert all(same(K[i * n + k][i * n + l], a) for i in range(n)
+               for k, arow in enumerate(A) for l, a in enumerate(arow) if a)
+    assert mat.eq(K, mat.block([[A if r == c else mat.zeros(n, n)
+                                 for c in range(n)] for r in range(n)]))
 
 
 @pytest.mark.parametrize("rows, rank, det", [

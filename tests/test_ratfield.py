@@ -484,7 +484,9 @@ def test_sum_skips_products_by_a_unit_cofactor(monkeypatch, a, b, products):
     mul = MPoly.__mul__
 
     def counting(p, q):
-        calls.append((p, q))
+        # a product by 1 returns at once, so only the others count
+        if p != MPoly.one() and q != MPoly.one():
+            calls.append((p, q))
         return mul(p, q)
     monkeypatch.setattr(MPoly, "__mul__", counting)
     total = a + b
@@ -509,7 +511,9 @@ def test_product_skips_products_by_one(monkeypatch, a, b, products):
     mul = MPoly.__mul__
 
     def counting(p, q):
-        calls.append((p, q))
+        # a product by 1 returns at once, so only the others count
+        if p != MPoly.one() and q != MPoly.one():
+            calls.append((p, q))
         return mul(p, q)
     monkeypatch.setattr(MPoly, "__mul__", counting)
     product = a * b
@@ -517,6 +521,24 @@ def test_product_skips_products_by_one(monkeypatch, a, b, products):
     monkeypatch.undo()
     assert product == RatFunc(a.num * b.num, a.den * b.den)
     assert_canonical(product)
+
+
+@pytest.mark.parametrize("p", [
+    _x * _x - _t.scale(3) + MPoly.one(), (_x + _t).scale(Fraction(2, 3)),
+    MPoly.const(Fraction(1, 2)),
+], ids=["int", "fraction", "constant-fraction"])
+def test_mpoly_product_by_one_is_the_other_factor(p):
+    assert p * MPoly.one() is p
+    assert MPoly.one() * p is p
+
+
+@pytest.mark.parametrize("f", [
+    RatFunc(_x * _x - _t), RatFunc(Fraction(3, 4)),
+    RatFunc(_x + _t, _x - MPoly.one()),
+], ids=["denominator-1", "constant", "rational"])
+def test_ratfunc_product_by_one_is_the_other_operand(f):
+    for product in (f * RatFunc.one(), RatFunc.one() * f, 1 * f, f * 1):
+        assert product is f
 
 
 def test_deriv_of_a_polynomial_is_canonical():
