@@ -45,11 +45,6 @@ class OrderOverflowError(ValueError):
     """A derivative beyond the truncation order was requested."""
 
 
-def _check_group(group: str):
-    if group not in _GROUPS:
-        raise ValueError(f"unknown group tag {group!r}")
-
-
 class DiffPoly(Sparse):
     """Truncated differential (Laurent) polynomial with leg structure, over
     dense monomials (see the module docstring).  Coefficients are Fractions;
@@ -59,7 +54,8 @@ class DiffPoly(Sparse):
     __slots__ = ("group", "order", "legs")
 
     def __init__(self, group: str, order: int, legs: int, terms=None):
-        _check_group(group)
+        if group not in _GROUPS:
+            raise ValueError(f"unknown group tag {group!r}")
         if order < 1:
             raise ValueError("truncation order must be >= 1")
         if not 1 <= legs <= 3:
@@ -293,11 +289,9 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
     Families: coassociativity, the counit law, the antipode law
     m(S (x) id)delta = unit eps, compatibility of delta with d, and
     compatibility of S with d.  The last two need one spare derivative of
-    headroom, hence the bound j < order.
+    headroom, hence the bound j < order.  DiffPoly checks the group and
+    the order: an unknown group or an order below 1 raises its ValueError.
     """
-    _check_group(group)
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
     if antipode_mode not in ("derived", "printed"):
         raise ValueError("antipode_mode must be 'derived' or 'printed'")
     printed = antipode_mode == "printed"
@@ -317,9 +311,7 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
 
     checks = []
     for j in range(order):
-        g = y[1][0][j]
-        dy = g.derive()
-        dg = _substitute(g, [delta], 2)
+        g, dg = y[1][0][j], delta[j]
         # one (lhs, rhs, witness) row per law, in AXIOM_NAMES order; the
         # witness is formatted with lhs, rhs, j and k = j + 1 on failure
         rows = (
@@ -331,14 +323,13 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
              "(id x eps)delta(y{j}) = {0}"),
             # m (S x id) delta = unit eps; m sends y_j of either leg to y_j
             (_substitute(_substitute(dg, [s_leg0, y[2][1]], 2),
-                         [y[1][0], y[1][0]], 1),
-             _substitute(g, [eps], 1),
+                         [y[1][0], y[1][0]], 1), eps[j],
              "m(S x id)delta(y{j}) = {0}"),
             # delta d = d delta
-            (_substitute(dy, [delta], 2), dg.derive(),
+            (delta[j + 1], dg.derive(),
              "delta(d y{j}) = {0} but d delta(y{j}) = {1}"),
             # S d = d S
-            (_substitute(dy, [S], 1), _substitute(g, [S], 1).derive(),
+            (S[j + 1], S[j].derive(),
              "S(d^{k} y) = {0} (order {k}) but d(S(d^{j} y)) = {1}"),
         )
         for name, (lhs, rhs, witness) in zip(AXIOM_NAMES, rows):

@@ -132,6 +132,21 @@ def test_check_axioms_builds_each_table_once(monkeypatch, group, mode):
                              "_delta_table"]
 
 
+@pytest.mark.parametrize("group, order, message", [
+    ("bad", 3, "unknown group tag 'bad'"),
+    (GA, 0, "truncation order must be >= 1"),
+    (GM, -1, "truncation order must be >= 1"),
+    ("bad", -1, "unknown group tag 'bad'"),
+])
+def test_check_axioms_rejects_what_diffpoly_rejects(group, order, message):
+    with pytest.raises(ValueError) as err:
+        check_axioms(group, order)
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        DiffPoly.zero(group, order)
+    assert str(err.value) == message
+
+
 def test_printed_antipode_breaks_derivation_axiom():
     report = check_axioms(GA, 3, antipode_mode="printed")
     assert not report.all_passed

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from prolongkit import matrices
 from prolongkit.diffmod import DiffModule, dsum, prolong, tensor
 from prolongkit.exprparse import EvalError, parse_expr
 from prolongkit.ratfield import RatFunc
@@ -224,6 +225,44 @@ def test_det_of_a_prolonged_solution_is_a_power(build, i):
     for Z in (Y, singular):
         assert sol_nonsingular(build(Z, i)) == sol_nonsingular(Z)
         assert _cofactor_det(build(Z, i)) == _cofactor_det(Z) ** (i + 1)
+
+
+def _rank_calls(monkeypatch, Y):
+    """sol_nonsingular(Y) and the number of matrices.rank calls it made."""
+    calls = []
+
+    def counted(A, _rank=matrices.rank):
+        calls.append(len(A))
+        return _rank(A)
+    monkeypatch.setattr(matrices, "rank", counted)
+    return sol_nonsingular(Y), len(calls)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_equal_diagonal_blocks_are_decided_once(monkeypatch, i):
+    Y = [[parse_solution(e) for e in row]
+         for row in [["theta", "x*lam"], ["t*theta", "lam"]]]
+    assert _rank_calls(monkeypatch, build_fundamental_prolongation(Y, i)) == (
+        True, 1)
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_a_singular_block_walks_its_grid_once(monkeypatch, i):
+    # theta spreads 3 + 3 and lam 0: the grid holds 7 points, all singular
+    Y = [[parse_solution(e) for e in row]
+         for row in [["theta^3", "1"], ["theta^3", "1"]]]
+    assert _rank_calls(monkeypatch, build_fundamental_prolongation(Y, i)) == (
+        False, 7)
+
+
+def test_cuts_on_both_sides_split_into_the_diagonal():
+    # cut 1 has a zero upper-right rectangle, cut 2 a zero lower-left one
+    Z = SolExpr.zero()
+    Y = [[TH, Z, Z], [LA, TH, SolExpr.from_ratfunc(X)], [Z, Z, LA]]
+    assert sol_nonsingular(Y)
+    Y[1][1] = Z
+    assert _cofactor_det(Y).is_zero
+    assert not sol_nonsingular(Y)
 
 
 def test_wrong_shape_rejected():
