@@ -126,8 +126,8 @@ def check_dual_swap(seed: int, cases: int = 50, max_n: int = 3,
     """dual_swap_g is an isomorphism matching the two dual-prolongation
     triangle identities: g o i_(M*) = (phi_M)^T and (i_M)^T o g = phi_(M*)."""
     def probe(M):
-        g = dual_swap_g(M)
-        inc_dual, proj_dual = inclusion_i(dual(M)), projection_phi(dual(M))
+        g, M_star = dual_swap_g(M), dual(M)
+        inc_dual, proj_dual = inclusion_i(M_star), projection_phi(M_star)
         phi_star = dual_morphism(projection_phi(M))
         i_star = dual_morphism(inclusion_i(M))
         d = mat.det(g.P)

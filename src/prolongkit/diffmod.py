@@ -90,15 +90,29 @@ class ModuleMorphism:
 
 
 def is_morphism(P, src: DiffModule, dst: DiffModule) -> bool:
-    """Does P define a morphism src -> dst of differential modules?"""
+    """Does P define a morphism src -> dst of differential modules?  A
+    constant P (d_x P = 0) is checked as B P = P A entry by entry over its
+    nonzero weights, up to the first mismatch, with no matrix product."""
     rows, cols = mat.shape(P)
     if rows != dst.n or cols != src.n:
         raise ValueError(
             f"morphism matrix must be {dst.n}x{src.n}, got {rows}x{cols}")
-    BP, PA = mat.mul(dst.A, P), mat.mul(P, src.A)
     if mat.is_constant(P):
-        # d_x P = 0, so the condition is B P = P A
-        return mat.eq(BP, PA)
+        prows = [[(k, p) for k, p in enumerate(row) if p] for row in P]
+        pcols = [[(k, p) for k, p in enumerate(col) if p] for col in zip(*P)]
+        for brow, prow in zip(dst.A, prows):
+            for c, pcol in enumerate(pcols):
+                bp = pa = _ZERO
+                for k, p in pcol:
+                    if brow[k]:
+                        bp = bp + brow[k] * p
+                for k, p in prow:
+                    if src.A[k][c]:
+                        pa = pa + src.A[k][c] * p
+                if bp != pa:
+                    return False
+        return True
+    BP, PA = mat.mul(dst.A, P), mat.mul(P, src.A)
     return mat.eq(mat.deriv(P, "x"), mat.sub(BP, PA))
 
 
@@ -152,7 +166,8 @@ def conjugate_constant(M: DiffModule, C) -> DiffModule:
     """Rewrite M in the basis transformed by the constant matrix C.
 
     The system matrix becomes (C^T)^(-1) A C^T.  C must be constant (both
-    derivatives zero entrywise) and invertible.
+    derivatives zero entrywise) and invertible.  One product and one
+    elimination, mat.inverse(C^T, A C^T), compute it with no inverse formed.
     """
     rows, cols = mat.shape(C)
     if rows != M.n or cols != M.n:
@@ -160,8 +175,7 @@ def conjugate_constant(M: DiffModule, C) -> DiffModule:
     if not mat.is_constant(C):
         raise ValueError("change of basis matrix must be constant")
     Ct = mat.transpose(C)
-    Ct_inv = mat.inverse(Ct)  # raises ValueError when singular
-    return DiffModule(mat.mul(Ct_inv, mat.mul(M.A, Ct)))
+    return DiffModule(mat.inverse(Ct, mat.mul(M.A, Ct)))  # raises if singular
 
 
 def iterate_F(M: DiffModule, k: int) -> DiffModule:

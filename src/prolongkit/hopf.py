@@ -19,16 +19,17 @@ Structure maps are algebra homomorphisms fixed on y_0:
   additive (ga):        delta(y_0) = u_0 + v_0     S(y_0) = -y_0    eps(y_0) = 0
   multiplicative (gm):  delta(y_0) = u_0 v_0       S(y_0) = 1/y_0   eps(y_0) = 1
 
-with the higher generators transported by d, y_j going to d^j of y_0's
-image (delta and S commute with the derivation by construction, which is
-exactly what makes the axiom set checkable).  check_axioms runs the five
-families on all generators below the truncation order and, for ga, also
-compares the derivation-compatible antipode with the alternating-sign one,
-which first disagrees at order 1.
+with the higher generators sent to d^j of y_0's image, so that delta and S
+commute with d.  delta and ga's S are closed forms (u_j + v_j, the sum of
+C(j, k) u_k v_(j-k), -y_j) that check_axioms tests against d; gm's S is
+transported.  check_axioms runs the five families on all generators below
+the truncation order and, for ga, also compares the derivation-compatible
+antipode with the alternating-sign one, which first disagrees at order 1.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -193,39 +194,37 @@ def _substitute(e: DiffPoly, images, out_legs: int) -> DiffPoly:
     return result
 
 
-def _transport(image: DiffPoly) -> list[DiffPoly]:
-    """Images of y_0, ..., y_N under the homomorphism that commutes with d
-    and sends y_0 to image: y_j goes to d^j image."""
-    table = [image]
-    for _ in range(image.order):
-        table.append(table[-1].derive())
-    return table
-
-
 def _delta_table(group: str, order: int) -> list[DiffPoly]:
-    """delta(y_j) as 2-leg elements."""
-    u0 = DiffPoly.generator(group, order, 0, leg=0, legs=2)
-    v0 = DiffPoly.generator(group, order, 0, leg=1, legs=2)
-    return _transport(u0 * v0 if group == GM else u0 + v0)
+    """delta(y_j) as 2-leg elements, in the module docstring's closed form."""
+    u, v = ([DiffPoly.generator(group, order, j, leg=leg, legs=2)
+             for j in range(order + 1)] for leg in (0, 1))
+    if group == GA:
+        return [a + b for a, b in zip(u, v)]
+    return [sum(((u[k] * v[j - k]).scale(math.comb(j, k))
+                 for k in range(j + 1)), DiffPoly.zero(group, order, 2))
+            for j in range(order + 1)]
 
 
 def _antipode_table(group: str, order: int, printed: bool = False) -> list[DiffPoly]:
-    """S(y_j) as 1-leg elements.
+    """S(y_j) as 1-leg elements: -y_j for ga, and d^j (1/y_0) for gm.
 
     The printed variant uses the alternating sign (-1)^(j+1) on the additive
     group's generators and exists to exhibit its conflict with
     derivation-compatibility.
     """
-    if printed and group == GA:
-        return [DiffPoly.generator(group, order, j).scale((-1) ** (j + 1))
-                for j in range(order + 1)]
-    y0 = DiffPoly.generator(group, order, 0)
-    return _transport(y0.inv() if group == GM else -y0)
+    if group == GM:
+        table = [DiffPoly.generator(group, order, 0).inv()]
+        for _ in range(order):
+            table.append(table[-1].derive())
+        return table
+    return [DiffPoly.generator(group, order, j).scale(
+        (-1) ** (j + 1) if printed else -1) for j in range(order + 1)]
 
 
 def _counit_table(group: str, order: int) -> list[DiffPoly]:
     """eps(y_j) as 1-leg constants: 1 for gm's y_0, 0 otherwise."""
-    return _transport(DiffPoly.constant(group, order, int(group == GM)))
+    return ([DiffPoly.constant(group, order, int(group == GM))]
+            + [DiffPoly.zero(group, order)] * order)
 
 
 def coproduct(e: DiffPoly) -> DiffPoly:
@@ -291,6 +290,9 @@ def check_axioms(group: str, order: int, antipode_mode: str = "derived") -> Axio
     compatibility of S with d.  The last two need one spare derivative of
     headroom, hence the bound j < order.  DiffPoly checks the group and
     the order: an unknown group or an order below 1 raises its ValueError.
+    gm's antipode is transported, so it commutes with d by construction,
+    and is also its printed antipode: "antipode-derivation" can fail only
+    in printed mode, and only for ga.
     """
     if antipode_mode not in ("derived", "printed"):
         raise ValueError("antipode_mode must be 'derived' or 'printed'")

@@ -4,7 +4,7 @@ The product and the Kronecker product skip zero entries, and leave a
 factor 1 to the entries' own product.  Nothing here mutates its arguments.
 rank, det and inverse share one Gauss-Jordan elimination over the pivot
 row's nonzero entries, which relies on exact field division so there is no
-pivoting subtlety.
+pivoting subtlety; inverse(A, B) returns A^(-1) B from one elimination.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ def sub(A, B):
 
 
 def neg(A):
-    return [[-a for a in row] for row in A]
+    return _map_distinct(A, lambda a: -a)
 
 
 def scale(A, s):
@@ -218,11 +218,15 @@ def det(A) -> RatFunc:
     return math.prod(pivots, start=RatFunc.from_int((-1) ** swaps))
 
 
-def inverse(A):
+def inverse(A, B=None):
+    """A^(-1) B (A^(-1) when B is None) by one elimination of [A | B]."""
     rows, cols = shape(A)
     if rows != cols:
         raise ValueError("inverse of a non-square matrix")
-    M = [list(row) + list(irow) for row, irow in zip(A, identity(rows))]
+    B = identity(rows) if B is None else B
+    if len(B) != rows:
+        raise ValueError(f"shape mismatch: B has {len(B)} rows, not {rows}")
+    M = [list(row) + list(brow) for row, brow in zip(A, B)]
     if len(_reduce(M, cols)[0]) < cols:
         raise ValueError("matrix is singular")
     return [row[cols:] for row in M]

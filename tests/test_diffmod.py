@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -214,6 +215,77 @@ def test_constant_conjugation_gives_morphism():
     assert is_morphism(Q, M, N)
 
 
+def _constant_morphisms(n):
+    """The structure maps of a seeded module of dimension n, and the
+    change of basis (C^T)^(-1) from prolong_lemma(M, 2) to prolong(M, 2)."""
+    M = random_module(random.Random(n), n, 2)
+    N = random_module(random.Random(n + 10), 1, 2)
+    Q = mat.inverse(mat.transpose(change_basis_matrix(n, 2)))
+    return [inclusion_i(M), projection_phi(M), product_rule_map(M, N),
+            dual_swap_g(M), embedding_E(M),
+            ModuleMorphism(prolong_lemma(M, 2), prolong(M, 2), Q)]
+
+
+def _with_entry(P, r, c, value):
+    out = [list(row) for row in P]
+    out[r][c] = value
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_is_morphism_agrees_with_the_products(n):
+    verdicts = []
+    for phi in _constant_morphisms(n):
+        P = phi.P
+        rows, cols = mat.shape(P)
+        for Q in (P, _with_entry(P, 0, 0, P[0][0] + 1),
+                  _with_entry(P, -1, -1, P[-1][-1] + 1), mat.zeros(rows, cols)):
+            want = mat.eq(mat.mul(phi.dst.A, Q), mat.mul(Q, phi.src.A))
+            assert is_morphism(Q, phi.src, phi.dst) == want
+            verdicts.append(want)
+    # every map and every zero P holds, and some changed maps do not
+    assert verdicts[::4] == [True] * 6 and verdicts[3::4] == [True] * 6
+    assert False in verdicts
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_is_morphism_reaches_every_entry(n):
+    # against a zero module one side is zero, so the unit matrix E_rc
+    # fails in row r alone (into it) or in column c alone (out of it)
+    M = random_module(random.Random(n), n, 2)
+    Z = DiffModule(mat.zeros(2, 2))
+    for src, dst in ((M, Z), (Z, M)):
+        for r, c in itertools.product(range(dst.n), range(src.n)):
+            E = _with_entry(mat.zeros(dst.n, src.n), r, c, RatFunc.one())
+            want = mat.eq(mat.mul(dst.A, E), mat.mul(E, src.A))
+            assert is_morphism(E, src, dst) == want
+
+
+@pytest.fixture
+def matrix_calls(monkeypatch):
+    """The names of the matrices.mul and matrices._reduce calls made from
+    here on, in call order."""
+    calls = []
+    for name in ("mul", "_reduce"):
+        def counting(*args, _run=getattr(mat, name), _name=name):
+            calls.append(_name)
+            return _run(*args)
+        monkeypatch.setattr(mat, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_constant_maps_act_without_a_dense_product(matrix_calls, n):
+    maps = _constant_morphisms(n)
+    M = random_module(random.Random(n), n, 2)
+    lemma, C = prolong_lemma(M, 3), change_basis_matrix(n, 3)
+    matrix_calls.clear()
+    assert all(is_morphism(phi.P, phi.src, phi.dst) for phi in maps)
+    assert matrix_calls == []
+    assert conjugate_constant(lemma, C) == prolong(M, 3)
+    assert matrix_calls == ["mul", "_reduce"]
+
+
 def test_embedding_intertwines_and_has_full_rank():
     e = embedding_E(XT)
     assert e.src == prolong_lemma(XT, 2)
@@ -393,6 +465,25 @@ def test_dual_negates_transpose():
     M = DiffModule(pmat([["0", "x"], ["t", "0"]]))
     assert render_matrix(dual(M).A) == [["0", "-t"], ["-x", "0"]]
     assert dual(dual(M)) == M
+
+
+@pytest.mark.parametrize("i", range(4))
+def test_dual_of_a_prolongation_negates_each_entry_object_once(
+        monkeypatch, i):
+    A = prolong(DiffModule(pmat([["t^2/x", "x*t"], ["1/(x + t)", "t^3"]])),
+                i).A
+    distinct = {id(a) for row in A for a in row}
+    calls = []
+    neg = RatFunc.__neg__
+
+    def counted(self):
+        calls.append(self)
+        return neg(self)
+    monkeypatch.setattr(RatFunc, "__neg__", counted)
+    D = dual(DiffModule(A)).A
+    assert len(calls) == len(distinct)
+    monkeypatch.undo()
+    assert D == [[-a for a in row] for row in mat.transpose(A)]
 
 
 def test_dual_of_morphism_reverses():

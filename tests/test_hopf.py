@@ -91,14 +91,24 @@ def test_counit_values():
 
 
 
+def _transport(image):
+    """[image, d image, ..., d^N image]: the images of y_0, ..., y_N under
+    the homomorphism that commutes with d and sends y_0 to image."""
+    table = [image]
+    for _ in range(image.order):
+        table.append(table[-1].derive())
+    return table
+
+
 @pytest.mark.parametrize("order", range(1, 7))
 def test_transported_tables_match_the_closed_forms(order):
-    # each table is d^j of its map's value on y_0
-    assert _delta_table(GA, order) == [
-        gen(GA, order, j, leg=0, legs=2) + gen(GA, order, j, leg=1, legs=2)
-        for j in range(order + 1)]
-    assert _antipode_table(GA, order) == [-gen(GA, order, j)
-                                          for j in range(order + 1)]
+    # each closed-form table is d^j of its map's value on y_0
+    u0 = {group: gen(group, order, 0, leg=0, legs=2) for group in (GA, GM)}
+    v0 = {group: gen(group, order, 0, leg=1, legs=2) for group in (GA, GM)}
+    assert _delta_table(GA, order) == _transport(u0[GA] + v0[GA])
+    assert _delta_table(GM, order) == _transport(u0[GM] * v0[GM])
+    assert _antipode_table(GA, order) == _transport(-gen(GA, order, 0))
+    assert _antipode_table(GM, order) == _transport(gen(GM, order, 0).inv())
     for group, eps0 in ((GA, 0), (GM, 1)):
         assert _counit_table(group, order) == (
             [DiffPoly.constant(group, order, eps0)]
@@ -110,6 +120,23 @@ def test_axioms_pass_both_groups():
             report = check_axioms(group, order)
             assert report.all_passed, (group, order, report.failures())
             assert len(report.checks) == 5 * order
+
+
+def test_a_coproduct_without_the_binomials_fails_its_derivation_row(
+        monkeypatch):
+    # delta(y_j) = sum_k u_k v_(j-k) agrees with d delta(y_(j-1)) up to
+    # y_1 only: d(u_0 v_1 + u_1 v_0) has 2 u_1 v_1
+    def unweighted(group, order):
+        u, v = ([gen(group, order, j, leg=leg, legs=2) for j in range(order + 1)]
+                for leg in (0, 1))
+        return [sum((u[k] * v[j - k] for k in range(j + 1)),
+                    DiffPoly.zero(group, order, 2)) for j in range(order + 1)]
+    monkeypatch.setattr(hopf, "_delta_table", unweighted)
+    report = check_axioms(GM, 3)
+    bad = [c for c in report.failures() if c.axiom == "coproduct-derivation"]
+    assert [c.generator for c in bad] == [1, 2]
+    assert bad[0].witness == ("delta(d y1) = u0*v2 + u1*v1 + u2*v0 but "
+                              "d delta(y1) = u0*v2 + 2*u1*v1 + u2*v0")
 
 
 def test_printed_antipode_conflict_flagged_at_one():

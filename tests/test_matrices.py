@@ -265,6 +265,32 @@ def test_det_and_inverse_match_the_dense_elimination(A):
     _assert_elimination_matches(A)
 
 
+@hypothesis.given(st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(_matrices(_RF_ENTRIES, s[0], s[0]),
+                        _matrices(_RF_ENTRIES, s[0], s[1]))))
+@hypothesis.settings(deadline=None, max_examples=100)
+def test_inverse_times_b_matches_the_product(AB):
+    A, B = AB
+    before = ([list(r) for r in A], [list(r) for r in B])
+    if _dense_inverse(A) is None:
+        with pytest.raises(ValueError, match="singular"):
+            mat.inverse(A, B)
+    else:
+        assert mat.eq(mat.inverse(A, B), mat.mul(mat.inverse(A), B))
+    assert (A, B) == before
+
+
+def test_inverse_times_b_of_singular_raises():
+    with pytest.raises(ValueError, match="singular"):
+        mat.inverse(RANK_2, FULL_3)
+
+
+@pytest.mark.parametrize("rows", [2, 4])
+def test_inverse_times_b_rejects_a_row_count_mismatch(rows):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        mat.inverse(FULL_3, mat.identity(rows))
+
+
 def _structure_maps(n):
     M = random_module(random.Random(n), n, 2)
     N = random_module(random.Random(n + 10), 1, 2)
