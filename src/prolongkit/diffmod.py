@@ -23,8 +23,14 @@ twice-iterated shape through the constant map of embedding_E.  These two,
 inclusion_i, projection_phi and dual_swap_g are each a constant map
 W (x) I_n of a small rational pattern W, built by one Kronecker product.
 Every prolongation, here and in solspace, is built from the one derivative
-tower A, A_t, ..., d_t^i A of matrices._t_tower, by
+tower A, A_t, ..., d_t^i A, by the block builder behind
 matrices.prolongation or, for the iterated shape, by iterate_F.
+
+A module keeps its tower, extended on demand, from which prolong,
+prolong_lemma and iterate_F build, and what prolong and dual return for it:
+a repeat call of these two returns the same object, so no module's A may be
+mutated.  Two threads calling at once may both compute a value; the results
+are equal.
 """
 
 from __future__ import annotations
@@ -36,9 +42,10 @@ from .ratfield import Fraction, RatFunc
 
 
 class DiffModule:
-    """Finite-dimensional differential module, presented by its matrix."""
+    """Finite-dimensional differential module, presented by its matrix; it
+    keeps what is derived from it (see above), so A must not be mutated."""
 
-    __slots__ = ("n", "A", "name")
+    __slots__ = ("n", "A", "name", "_kept")
 
     def __init__(self, A, name=None):
         n = len(A)
@@ -47,6 +54,7 @@ class DiffModule:
         self.n = n
         self.A = [list(row) for row in A]
         self.name = name
+        self._kept = {}
 
     def __eq__(self, other) -> bool:
         if isinstance(other, DiffModule):
@@ -128,15 +136,30 @@ def _pattern(W, n: int):
                      for row in W], mat.identity(n))
 
 
+def _keep(M: DiffModule, key, build):
+    """M's value under key, kept from build() on first use unless it raises."""
+    return M._kept[key] if key in M._kept else M._kept.setdefault(key, build())
+
+
+def _tower(M: DiffModule, i: int):
+    """[A, A_t, ..., d_t^i A], each level kept on M under its order."""
+    tower = [M.A]
+    for j in range(1, i + 1):
+        tower.append(_keep(M, j, lambda: mat.deriv(tower[-1], "t")))
+    return tower
+
+
 # prolongation shapes ------------------------------------------------------
 
 def prolong(M: DiffModule, i: int) -> DiffModule:
     """Order-i prolongation with binomial weights.
 
     Block (r, c) of the (i+1)n x (i+1)n result is C(r, c) * d_t^(r-c) A;
-    i = 0 returns a copy of M's matrix.
+    i = 0 gives a copy of M's matrix.  The result is kept on M, so a repeat
+    call returns the same object.
     """
-    return DiffModule(mat.prolongation(M.A, i, math.comb))
+    return _keep(M, ("prolong", i), lambda: DiffModule(
+        mat._tower_prolongation(_tower(M, i), i, math.comb)))
 
 
 def prolong_lemma(M: DiffModule, i: int) -> DiffModule:
@@ -145,8 +168,8 @@ def prolong_lemma(M: DiffModule, i: int) -> DiffModule:
     Block (r, c) is C(i-c, r-c) * d_t^(r-c) A, so the first column carries
     C(i, 1) A_t, C(i, 2) A_tt, ...
     """
-    return DiffModule(mat.prolongation(
-        M.A, i, lambda r, c: math.comb(i - c, r - c)))
+    return DiffModule(mat._tower_prolongation(
+        _tower(M, i), i, lambda r, c: math.comb(i - c, r - c)))
 
 
 def change_basis_matrix(n: int, i: int):
@@ -189,8 +212,7 @@ def iterate_F(M: DiffModule, k: int) -> DiffModule:
     """
     if k < 0:
         raise ValueError("iteration count must be >= 0")
-    tower, zero = mat._t_tower(M.A, k)
-    size = 1 << k
+    tower, zero, size = _tower(M, k), mat.zeros(M.n, M.n), 1 << k
     return DiffModule(mat.block([
         [tower[(r ^ c).bit_count()] if not c & ~r else zero
          for c in range(size)] for r in range(size)]))
@@ -227,8 +249,8 @@ def dsum(M: DiffModule, N: DiffModule) -> DiffModule:
 
 
 def dual(M: DiffModule) -> DiffModule:
-    """Dual module; matrix -A^T on the dual basis."""
-    return DiffModule(mat.neg(mat.transpose(M.A)))
+    """Dual module; matrix -A^T on the dual basis, kept on M."""
+    return _keep(M, "dual", lambda: DiffModule(mat.neg(mat.transpose(M.A))))
 
 
 def dual_morphism(phi: ModuleMorphism) -> ModuleMorphism:

@@ -136,14 +136,13 @@ def block(rows):
 
 
 def _t_tower(X, i: int):
-    """The blocks every prolongation of X is built from: the list
-    [X, X_t, ..., d_t^i X] and a zero block of X's shape.  X's entries are
-    RatFunc or anything a RatFunc scales."""
+    """The blocks every prolongation of X is built from, the list
+    [X, X_t, ..., d_t^i X].  X's entries are RatFunc or anything a RatFunc
+    scales."""
     tower = [X]
     for _ in range(i):
         tower.append(deriv(tower[-1], "t"))
-    z = X[0][0] * RatFunc.zero()
-    return tower, [[z] * len(X[0]) for _ in X]
+    return tower
 
 
 def prolongation(X, i: int, weight):
@@ -154,9 +153,16 @@ def prolongation(X, i: int, weight):
     X's entries are RatFunc or anything a RatFunc scales.  Each other weight
     is turned into a RatFunc once; a weight of 1 reuses the block as it is.
     """
+    return _tower_prolongation(_t_tower(X, i), i, weight)
+
+
+def _tower_prolongation(derivs, i: int, weight):
+    """prolongation(X, i, weight) from a tower [X, X_t, ...] of > i levels."""
     if i < 0:
         raise ValueError("prolongation order must be >= 0")
-    derivs, zero = _t_tower(X, i)
+    X = derivs[0]
+    z = X[0][0] * _ZERO
+    zero = [[z] * len(X[0]) for _ in X]
     grid = []
     for r in range(i + 1):
         brow = []

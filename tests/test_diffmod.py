@@ -1,12 +1,15 @@
 import itertools
+import math
 import random
+import sys
+import threading
 from fractions import Fraction
 
 import pytest
 
-from prolongkit import diffmod
+from prolongkit import checks, diffmod
 from prolongkit import matrices as mat
-from prolongkit.checks import check_embedding
+from prolongkit.checks import check_dual_swap, check_embedding
 from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
                                 conjugate_constant, dsum, dual, dual_morphism,
                                 dual_swap_g, embedding_E, inclusion_i,
@@ -504,3 +507,125 @@ def test_module_validation():
         DiffModule([[RatFunc.zero(), RatFunc.zero()]])
     with pytest.raises(ValueError):
         prolong(XT, -1)
+
+
+# what a module keeps -----------------------------------------------------
+# Each test below builds its own modules: a result an earlier test kept on a
+# module built at import time would change what these count.
+
+KEPT_ROWS = [["t^2/x", "x*t"], ["1/(x + t)", "t^3"]]
+
+
+def _record(monkeypatch, owner, name):
+    """A list that gets the positional arguments of every owner.name call
+    made from here on."""
+    calls = []
+    run = getattr(owner, name)
+
+    def recording(*args):
+        calls.append(args)
+        return run(*args)
+    monkeypatch.setattr(owner, name, recording)
+    return calls
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_a_dual_swap_case_builds_one_tower_per_distinct_module(
+        monkeypatch, seed):
+    drawn = _record(monkeypatch, checks, "dual_swap_g")
+    asked = _record(monkeypatch, diffmod, "prolong")
+    derived = _record(monkeypatch, mat, "deriv")
+    built = _record(monkeypatch, mat, "_tower_prolongation")
+    assert check_dual_swap(seed, cases=1).passed
+    [(M,)] = drawn
+    distinct = sorted(id(N.A) for N in (M, dual(M)))
+    # six first prolongations are asked for, of M and dual(M) alone, and
+    # each of the two is built once, from one tower of one derivative
+    assert [i for _, i in asked] == [1] * 6
+    assert sorted({id(N.A) for N, _ in asked}) == distinct
+    assert sorted((id(X), var) for X, var in derived) == [
+        (key, "t") for key in distinct]
+    assert sorted(id(tower[0]) for tower, _, _ in built) == distinct
+
+
+def test_structure_maps_share_the_kept_prolongations(deriv_calls):
+    M = DiffModule(pmat(KEPT_ROWS))
+    assert inclusion_i(M).dst is projection_phi(M).src is prolong(M, 1)
+    assert len(deriv_calls) == M.n ** 2
+    e = embedding_E(M)
+    # one more tower level serves the lemma shape and the iterated shape,
+    # which are built again from the kept tower when asked for again
+    assert len(deriv_calls) == 2 * M.n ** 2
+    assert e.src == prolong_lemma(M, 2) and e.dst == iterate_F(M, 2)
+    assert len(deriv_calls) == 2 * M.n ** 2
+    prolong(M, 3)
+    assert len(deriv_calls) == 3 * M.n ** 2
+
+
+@pytest.mark.parametrize("orders", [range(5), range(4, -1, -1)],
+                         ids=["rising", "falling"])
+def test_kept_results_equal_fresh_ones(orders):
+    M = DiffModule(pmat(KEPT_ROWS))
+    for i in orders:
+        got = prolong(M, i)
+        assert got.A == mat.prolongation(M.A, i, math.comb), i
+        assert prolong(M, i) is got
+        assert prolong_lemma(M, i).A == mat.prolongation(
+            M.A, i, lambda r, c: math.comb(i - c, r - c)), i
+        assert iterate_F(M, i).A == _iterate_by_blocks(M, i)
+    assert dual(M).A == mat.neg(mat.transpose(M.A))
+    assert dual(M) is dual(M)
+
+
+def test_equal_modules_keep_separate_results():
+    M, N = DiffModule(pmat(KEPT_ROWS)), DiffModule(pmat(KEPT_ROWS))
+    assert M == N
+    assert prolong(M, 2) == prolong(N, 2)
+    assert prolong(M, 2) is not prolong(N, 2)
+    assert dual(M) == dual(N) and dual(M) is not dual(N)
+
+
+def test_threads_sharing_a_module_get_equal_results():
+    # two threads may both build a value; each gets a correct one
+    first = DiffModule(pmat(KEPT_ROWS))
+    want = {i: (mat.prolongation(first.A, i, math.comb),
+                _iterate_by_blocks(first, i)) for i in range(4)}
+    got, errors = [], []
+
+    def work(M, start, orders):
+        try:
+            start.wait(timeout=60)
+            for i in orders:
+                got.append((i, prolong(M, i).A, iterate_F(M, i).A))
+        except Exception as err:  # a thread's error fails the test below
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            M, start = DiffModule(pmat(KEPT_ROWS)), threading.Barrier(4)
+            threads = [threading.Thread(target=work, args=(M, start, orders))
+                       for orders in [range(4), range(3, -1, -1)] * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert errors == [] and len(got) == 160
+    for i, P, F in got:
+        assert (P, F) == want[i], i
+
+
+def test_a_negative_order_raises_every_time_and_keeps_nothing():
+    M = DiffModule(pmat(KEPT_ROWS))
+    for _ in range(2):
+        for build in (prolong, prolong_lemma):
+            with pytest.raises(ValueError,
+                               match="prolongation order must be >= 0"):
+                build(M, -1)
+        with pytest.raises(ValueError, match="iteration count must be >= 0"):
+            iterate_F(M, -1)
+    assert M._kept == {}
