@@ -5,7 +5,7 @@ code, and does no I/O of its own.  main is the one place that reads the
 clock and writes output: the report to stdout as JSON with sorted keys and
 no volatile fields, so a given invocation is byte-stable, and a one-line
 summary with its timing to stderr.  Exit codes: 0 success, 1 a mathematical
-check failed, 2 usage or input errors.
+check failed, 2 usage, input or output errors.
 
 Only `check` loads the check suites, and only `check hopf` the Hopf
 algebras, so `prolong`, `verify`, `tensor`, `dual` and `dsum` import
@@ -263,7 +263,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command: its JSON report goes to stdout and its summary,
-    timed, to stderr; an input error goes to stderr alone, exit code 2."""
+    timed, to stderr; an input or output error goes to stderr alone, exit 2."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
@@ -279,7 +279,14 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {e}\n")
         return 2
     elapsed = time.perf_counter() - start
-    sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    try:
+        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        sys.stdout.flush()
+    except OSError as e:
+        # a closed pipe or a full disk; devnull takes the flush at shutdown
+        sys.stderr.write(f"error: cannot write the report: {e.strerror or e}\n")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     sys.stderr.write(f"{summary} in {elapsed:.3f}s\n")
     return code
 

@@ -135,16 +135,6 @@ def block(rows):
     return out
 
 
-def _t_tower(X, i: int):
-    """The blocks every prolongation of X is built from, the list
-    [X, X_t, ..., d_t^i X].  X's entries are RatFunc or anything a RatFunc
-    scales."""
-    tower = [X]
-    for _ in range(i):
-        tower.append(deriv(tower[-1], "t"))
-    return tower
-
-
 def prolongation(X, i: int, weight):
     """Block lower-triangular order-i prolongation of the matrix X: block
     (r, c) is weight(r, c) * d_t^(r-c) X for r >= c, and a zero block of
@@ -153,7 +143,10 @@ def prolongation(X, i: int, weight):
     X's entries are RatFunc or anything a RatFunc scales.  Each other weight
     is turned into a RatFunc once; a weight of 1 reuses the block as it is.
     """
-    return _tower_prolongation(_t_tower(X, i), i, weight)
+    tower = [X]
+    for _ in range(i):
+        tower.append(deriv(tower[-1], "t"))
+    return _tower_prolongation(tower, i, weight)
 
 
 def _tower_prolongation(derivs, i: int, weight):

@@ -685,9 +685,7 @@ _RF_ZERO = RatFunc(_MP_ZERO)
 def _coerce(v):
     if isinstance(v, RatFunc):
         return v
-    if isinstance(v, (int, Fraction)):
-        return RatFunc(MPoly.const(v))
-    if isinstance(v, MPoly):
+    if isinstance(v, (int, Fraction, MPoly)):
         return RatFunc(v)
     return NotImplemented
 

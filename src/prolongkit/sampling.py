@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from . import matrices as mat
 from .diffmod import DiffModule
 from .ratfield import LinDiffOp, MPoly, RatFunc
 
@@ -54,7 +55,6 @@ def random_module(rng: random.Random, n: int, max_deg: int = 2) -> DiffModule:
 def random_constant_invertible(rng: random.Random, n: int):
     """Constant matrix with nonzero determinant, built as L * U with unit
     diagonals plus a diagonal of small nonzero fractions."""
-    from . import matrices as mat
     L = mat.identity(n)
     U = mat.identity(n)
     for i in range(n):

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import os
@@ -601,23 +602,24 @@ def test_solution_with_a_huge_value_verifies(capsys, tmp_path):
     assert report["outcome"] == "pass"
 
 
-def test_python_dash_m_runs_the_cli():
+def _src_env():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    return env
+
+
+def test_python_dash_m_runs_the_cli():
     proc = subprocess.run(
         [sys.executable, "-m", "prolongkit", "check", "hopf", "--group", "gm"],
-        capture_output=True, text=True, env=env, timeout=60)
+        capture_output=True, text=True, env=_src_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["outcome"] == "pass"
 
 
 def test_a_lower_interpreter_digit_limit_is_an_input_error(tmp_path):
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONINTMAXSTRDIGITS="1000")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(src)] + [p for p in [env.get("PYTHONPATH")] if p])
+    env = dict(_src_env(), PYTHONINTMAXSTRDIGITS="1000")
     doc = tmp_path / "m.json"
     doc.write_text(json.dumps({"n": 1, "matrix": [["7" * 2000]]}))
     proc = subprocess.run(
@@ -627,6 +629,36 @@ def test_a_lower_interpreter_digit_limit_is_an_input_error(tmp_path):
     assert proc.stdout == ""
     assert proc.stderr == (f"error: {doc}: entry (0,0): integer literal of "
                            "more than 1000 digits (byte 0)\n")
+
+
+def _prolong_into(stdout, xt_file):
+    return subprocess.run(
+        [sys.executable, "-m", "prolongkit", "prolong", "-i", "2", xt_file],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=_src_env(),
+        timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_disk_is_an_output_error(xt_file):
+    with open("/dev/full", "w") as full:
+        proc = _prolong_into(full, xt_file)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: cannot write the report: "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+
+
+def test_a_closed_pipe_is_an_output_error(xt_file):
+    # the read end is closed before the command starts, so its first write
+    # finds no reader
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _prolong_into(write, xt_file)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: cannot write the report: "
+                           f"{os.strerror(errno.EPIPE)}\n")
 
 
 # json.loads raises a RecursionError for deep nesting and a plain ValueError

@@ -159,6 +159,62 @@ def test_check_axioms_builds_each_table_once(monkeypatch, group, mode):
                              "_delta_table"]
 
 
+def _antipode_law_in_two_steps(group, order, S, j):
+    """m(S (x) id)delta(y_j) the long way: S lifted into leg 0 of the 2-leg
+    algebra, substituted into delta(y_j), then the two legs merged."""
+    two = [[gen(group, order, k, leg=l, legs=2) for k in range(order + 1)]
+           for l in (0, 1)]
+    one = [gen(group, order, k) for k in range(order + 1)]
+    s_leg0 = [hopf._substitute(s, two[:1], 2) for s in S]
+    dg = hopf._delta_table(group, order)[j]
+    return hopf._substitute(hopf._substitute(dg, [s_leg0, two[1]], 2),
+                            [one, one], 1)
+
+
+@pytest.mark.parametrize("group", [GA, GM])
+@pytest.mark.parametrize("mode", ["derived", "printed"])
+@pytest.mark.parametrize("order", range(1, 7))
+def test_antipode_rows_match_the_two_step_composition(group, mode, order):
+    S = hopf._antipode_table(group, order, printed=mode == "printed")
+    eps = hopf._counit_table(group, order)
+    rows = [c for c in check_axioms(group, order, mode).checks
+            if c.axiom == "antipode"]
+    assert [c.generator for c in rows] == list(range(order))
+    for c in rows:
+        value = _antipode_law_in_two_steps(group, order, S, c.generator)
+        ok = value == eps[c.generator]
+        assert (c.passed, c.witness) == (
+            ok, None if ok else f"m(S x id)delta(y{c.generator}) = {value}")
+
+
+@pytest.mark.parametrize("group", [GA, GM])
+@pytest.mark.parametrize("mode", ["derived", "printed"])
+@pytest.mark.parametrize("order", [1, 3, 6])
+def test_check_axioms_substitutes_6_order_plus_2_times(monkeypatch, group,
+                                                        mode, order):
+    out_legs, gen_legs = [], []
+
+    def substitute(e, images, legs, _sub=hopf._substitute):
+        out_legs.append(legs)
+        return _sub(e, images, legs)
+
+    def generator(cls, *args, _gen=DiffPoly.generator.__func__, **kw):
+        gen_legs.append(kw.get("legs", 1))
+        return _gen(cls, *args, **kw)
+
+    monkeypatch.setattr(hopf, "_substitute", substitute)
+    monkeypatch.setattr(DiffPoly, "generator", classmethod(generator))
+    check_axioms(group, order, mode)
+    # delta lifted twice into the 3-leg algebra and coassociativity's two
+    # sides, then the counit and antipode laws into the 1-leg algebra; no
+    # antipode is lifted into the 2-leg algebra
+    assert len(out_legs) == 6 * order + 2
+    assert out_legs.count(3) == 4 * order + 2
+    assert out_legs.count(1) == 2 * order
+    # the only 2-leg generators are delta's u_j and v_j
+    assert gen_legs.count(2) == 2 * (order + 1)
+
+
 @pytest.mark.parametrize("group, order, message", [
     ("bad", 3, "unknown group tag 'bad'"),
     (GA, 0, "truncation order must be >= 1"),
