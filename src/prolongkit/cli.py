@@ -5,7 +5,8 @@ code, and does no I/O of its own.  main is the one place that reads the
 clock and writes output: the report to stdout as JSON with sorted keys and
 no volatile fields, so a given invocation is byte-stable, and a one-line
 summary with its timing to stderr.  Exit codes: 0 success, 1 a mathematical
-check failed, 2 usage, input or output errors.
+check failed, 2 usage, input or output errors: an output error is a report,
+summary or error line that its stream cannot take, closed or full.
 
 Only `check` loads the check suites, and only `check hopf` the Hopf
 algebras, so `prolong`, `verify`, `tensor`, `dual` and `dsum` import
@@ -17,6 +18,7 @@ every call.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import os
@@ -261,9 +263,26 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(stream, text: str):
+    """Write text to stream and flush it: None, or the OSError that stream
+    gave (a closed pipe, a full disk), after which its file descriptor
+    points at os.devnull, so the flush at interpreter shutdown raises
+    nothing more.  A stream closed when the interpreter started is None."""
+    if stream is None:
+        return OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.write(text)
+        stream.flush()
+    except OSError as e:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return e
+    return None
+
+
 def main(argv=None) -> int:
     """Run one command: its JSON report goes to stdout and its summary,
-    timed, to stderr; an input or output error goes to stderr alone, exit 2."""
+    timed, to stderr; an input or output error goes to stderr alone, exit 2.
+    A summary that stderr cannot take also exits 2, after the report."""
     try:
         args = _parser().parse_args(argv)
     except SystemExit as e:
@@ -276,19 +295,16 @@ def main(argv=None) -> int:
         report, summary, code = args.func(args)
     except (InputError, ModuleDocError, ExprError,
             UnrepresentableSolutionError) as e:
-        sys.stderr.write(f"error: {e}\n")
+        _write(sys.stderr, f"error: {e}\n")
         return 2
     elapsed = time.perf_counter() - start
-    try:
-        sys.stdout.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
-        sys.stdout.flush()
-    except OSError as e:
-        # a closed pipe or a full disk; devnull takes the flush at shutdown
-        sys.stderr.write(f"error: cannot write the report: {e.strerror or e}\n")
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    error = _write(sys.stdout,
+                   json.dumps(report, indent=2, sort_keys=True) + "\n")
+    if error is not None:
+        _write(sys.stderr, "error: cannot write the report: "
+                           f"{error.strerror or error}\n")
         return 2
-    sys.stderr.write(f"{summary} in {elapsed:.3f}s\n")
-    return code
+    return 2 if _write(sys.stderr, f"{summary} in {elapsed:.3f}s\n") else code
 
 
 def entry():

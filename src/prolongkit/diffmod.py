@@ -98,30 +98,15 @@ class ModuleMorphism:
 
 
 def is_morphism(P, src: DiffModule, dst: DiffModule) -> bool:
-    """Does P define a morphism src -> dst of differential modules?  A
-    constant P (d_x P = 0) is checked as B P = P A entry by entry over its
-    nonzero weights, up to the first mismatch, with no matrix product."""
+    """Does P define a morphism src -> dst of differential modules?  d_x P =
+    B P - P A is checked entry by entry, up to the first mismatch, with no
+    matrix product (matrices.first_mismatch); a constant P takes no d_x."""
     rows, cols = mat.shape(P)
     if rows != dst.n or cols != src.n:
         raise ValueError(
             f"morphism matrix must be {dst.n}x{src.n}, got {rows}x{cols}")
-    if mat.is_constant(P):
-        prows = [[(k, p) for k, p in enumerate(row) if p] for row in P]
-        pcols = [[(k, p) for k, p in enumerate(col) if p] for col in zip(*P)]
-        for brow, prow in zip(dst.A, prows):
-            for c, pcol in enumerate(pcols):
-                bp = pa = _ZERO
-                for k, p in pcol:
-                    if brow[k]:
-                        bp = bp + brow[k] * p
-                for k, p in prow:
-                    if src.A[k][c]:
-                        pa = pa + src.A[k][c] * p
-                if bp != pa:
-                    return False
-        return True
-    BP, PA = mat.mul(dst.A, P), mat.mul(P, src.A)
-    return mat.eq(mat.deriv(P, "x"), mat.sub(BP, PA))
+    D = mat.zeros(rows, cols) if mat.is_constant(P) else mat.deriv(P, "x")
+    return mat.first_mismatch(P, D, src.A, dst.A) is None
 
 
 _ZERO = RatFunc.zero()

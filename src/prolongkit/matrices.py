@@ -2,6 +2,9 @@
 
 The product and the Kronecker product skip zero entries, and leave a
 factor 1 to the entries' own product.  Nothing here mutates its arguments.
+first_mismatch checks d_x P = B P - P A, the identity of a morphism and of a
+fundamental solution, entry by entry with no matrix product, and stops at
+the first entry where it fails.
 rank, det and inverse share one Gauss-Jordan elimination over the pivot
 row's nonzero entries, which relies on exact field division so there is no
 pivoting subtlety; inverse(A, B) returns A^(-1) B from one elimination.
@@ -66,6 +69,29 @@ def mul(A, B):
                     acc[j] = acc[j] + b * a
         out.append(acc)
     return out
+
+
+def first_mismatch(P, D, A, B):
+    """The first (row, col), row-major, where D differs from B P - P A, or
+    None when D = B P - P A.  Entry (r, c) compares B[r] P[:, c] with
+    D[r][c] + P[r] A[:, c], each sum over P's nonzero entries only.  As in
+    mul, P's entries may be anything a RatFunc scales (SolExpr), so each
+    stays the left operand, and the zero of the sum B[r] P[:, c] is P's."""
+    z = P[0][0] * _ZERO
+    pcols = [[(k, p) for k, p in enumerate(col) if p] for col in zip(*P)]
+    for r, (brow, prow, drow) in enumerate(zip(B, P, D)):
+        prow = [(k, p) for k, p in enumerate(prow) if p]
+        for c, pcol in enumerate(pcols):
+            bp, pa = z, drow[c]
+            for k, p in pcol:
+                if brow[k]:
+                    bp = bp + p * brow[k]
+            for k, p in prow:
+                if A[k][c]:
+                    pa = pa + p * A[k][c]
+            if bp != pa:
+                return r, c
+    return None
 
 
 def transpose(A):

@@ -9,14 +9,17 @@ and agree with the coefficient derivations on Q(x, t); the two actions
 commute.  A SolExpr is a finite sum of c * theta^a * lam^b with RatFunc
 coefficients, which is enough to express the fundamental solutions of the
 running example and all of its prolongations, and to check d_x Y = A Y
-exactly, entry by entry.
+exactly, entry by entry up to the first mismatch: such a Y is a morphism
+from the trivial module (matrix 0) to the one of matrix A, and
+verify_fundamental checks it with matrices.first_mismatch, as
+diffmod.is_morphism checks a morphism.
 
 SolExpr is a ratfield.Sparse over the monomials (a, b).  A RatFunc is a
-scalar on either side of '*', so matrices.mul multiplies a RatFunc system
-matrix by a SolExpr matrix, and matrices.deriv and matrices.prolongation
-take SolExpr matrices as they are.  Solution documents go through
-exprparse.evaluate, the one-pass parser and evaluator of module documents,
-with SolExpr leaves.
+scalar on either side of '*', so matrices.first_mismatch and matrices.mul
+take a RatFunc system matrix with a SolExpr matrix, and matrices.deriv and
+matrices.prolongation take SolExpr matrices as they are.  Solution
+documents go through exprparse.evaluate, the one-pass parser and evaluator
+of module documents, with SolExpr leaves.
 """
 
 from __future__ import annotations
@@ -228,14 +231,13 @@ def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:
     """Check that Y is a fundamental solution matrix for M, exactly.
 
     first_mismatch is the row-major (row, col) of the first entry where
-    d_x Y and A Y differ, or None when the identity holds.
+    d_x Y and A Y differ, or None when the identity holds; the check stops
+    there, with no full product A Y formed.
     """
     if len(Y) != M.n or any(len(row) != M.n for row in Y):
         raise ValueError(f"solution matrix must be {M.n}x{M.n}")
-    lhs = mat.deriv(Y, "x")
-    rhs = mat.mul(M.A, Y)
-    first = next(((r, c) for r in range(M.n) for c in range(M.n)
-                  if lhs[r][c] != rhs[r][c]), None)
+    first = mat.first_mismatch(Y, mat.deriv(Y, "x"), mat.zeros(M.n, M.n),
+                               M.A)
     det_ok = sol_nonsingular(Y)
     return FundamentalCheck(first is None, first, det_ok)
 

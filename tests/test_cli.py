@@ -631,11 +631,11 @@ def test_a_lower_interpreter_digit_limit_is_an_input_error(tmp_path):
                            "more than 1000 digits (byte 0)\n")
 
 
-def _prolong_into(stdout, xt_file):
+def _prolong_into(stdout, xt_file, **kwargs):
     return subprocess.run(
         [sys.executable, "-m", "prolongkit", "prolong", "-i", "2", xt_file],
         stdout=stdout, stderr=subprocess.PIPE, text=True, env=_src_env(),
-        timeout=60)
+        timeout=60, **kwargs)
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
@@ -659,6 +659,62 @@ def test_a_closed_pipe_is_an_output_error(xt_file):
     assert proc.returncode == 2
     assert proc.stderr == ("error: cannot write the report: "
                            f"{os.strerror(errno.EPIPE)}\n")
+
+
+def test_a_closed_stdout_is_an_output_error(xt_file):
+    # fd 1 closed before the interpreter starts, as by `>&-` in a shell
+    proc = _prolong_into(None, xt_file, preexec_fn=lambda: os.close(1))
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: cannot write the report: "
+                           f"{os.strerror(errno.EBADF)}\n")
+
+
+# a summary or an error line that stderr cannot take is an output error too:
+# exit 2, with the report, where there is one, still on stdout in full
+_STDERR_CASES = {
+    "prolong": (["prolong", "-i", "1", "{xt}"], "result"),
+    "missing-file": (["prolong", "-i", "1", "{missing}"], None),
+    "verify-stripped": (["verify", "-i", "3", "--example", "xt",
+                         "--strip-binomials", "{xt}"], "fail"),
+}
+
+
+def _run_with_stderr(case, xt_file, tmp_path, **stderr):
+    argv, outcome = _STDERR_CASES[case]
+    argv = [a.format(xt=xt_file, missing=tmp_path / "missing.json")
+            for a in argv]
+    proc = subprocess.run([sys.executable, "-m", "prolongkit", *argv],
+                          stdout=subprocess.PIPE, text=True, env=_src_env(),
+                          timeout=60, **stderr)
+    assert proc.returncode == 2
+    if outcome is None:
+        assert proc.stdout == ""
+    else:
+        assert json.loads(proc.stdout)["outcome"] == outcome
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("case", _STDERR_CASES)
+def test_stderr_on_a_full_disk_is_an_output_error(case, xt_file, tmp_path):
+    with open("/dev/full", "w") as full:
+        _run_with_stderr(case, xt_file, tmp_path, stderr=full)
+
+
+@pytest.mark.parametrize("case", _STDERR_CASES)
+def test_stderr_into_a_closed_pipe_is_an_output_error(case, xt_file,
+                                                      tmp_path):
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        _run_with_stderr(case, xt_file, tmp_path, stderr=write)
+    finally:
+        os.close(write)
+
+
+@pytest.mark.parametrize("case", _STDERR_CASES)
+def test_a_closed_stderr_is_an_output_error(case, xt_file, tmp_path):
+    # fd 2 closed before the interpreter starts, as by `2>&-` in a shell
+    _run_with_stderr(case, xt_file, tmp_path, preexec_fn=lambda: os.close(2))
 
 
 # json.loads raises a RecursionError for deep nesting and a plain ValueError

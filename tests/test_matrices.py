@@ -476,6 +476,34 @@ def test_is_morphism_on_a_gauge_matrix_takes_d_x(monkeypatch, n, delta):
     assert derived == ["x", "x"]
 
 
+def _dense_first_mismatch(P, src, dst):
+    """d_x P against B P - P A by full products, scanned row-major."""
+    lhs = mat.deriv(P, "x")
+    rhs = mat.sub(mat.mul(dst.A, P), mat.mul(P, src.A))
+    return next(((r, c) for r, (lrow, rrow) in enumerate(zip(lhs, rhs))
+                 for c, (a, b) in enumerate(zip(lrow, rrow)) if a != b), None)
+
+
+@pytest.mark.parametrize("i", range(3))
+@pytest.mark.parametrize("n", [1, 2])
+def test_is_morphism_agrees_with_the_products_at_every_entry(n, i):
+    phi = prolong_morphism(
+        _gauge_morphism(random_module(random.Random(40 + n), n)), i)
+    src, dst = phi.src, phi.dst
+    assert _dense_first_mismatch(phi.P, src, dst) is None
+    rows, cols = mat.shape(phi.P)
+    for r in range(rows):
+        for c in range(cols):
+            for delta in ("1", "x*t"):
+                bad = _changed(phi.P, r, c, delta)
+                want = _dense_first_mismatch(bad, src, dst)
+                assert is_morphism(bad, src, dst) == _condition_holds(
+                    bad, src, dst) == (want is None)
+                got = mat.first_mismatch(bad, mat.deriv(bad, "x"), src.A,
+                                         dst.A)
+                assert got == want, (r, c, delta)
+
+
 def _layout(builder, n, i):
     """(matrix, block height, block width, the blocks d_t^k X by k, the
     weight of block (r, c), whether the blocks sit above the diagonal, and

@@ -1,8 +1,10 @@
 import random
 
+import hypothesis
+import hypothesis.strategies as st
 import pytest
 
-from prolongkit import matrices
+from prolongkit import matrices, ratfield
 from prolongkit.diffmod import DiffModule, dsum, prolong, tensor
 from prolongkit.exprparse import EvalError, parse_expr
 from prolongkit.ratfield import RatFunc
@@ -87,6 +89,92 @@ def test_unweighted_prolongation_fails_from_order_2():
     assert chk.first_mismatch == (2, 1)
     assert repr(chk) == ("FundamentalCheck(derivative_ok=False, "
                          "first_mismatch=(2, 1), det_ok=True)")
+
+
+# the transport check against the dense product it replaced ----------------
+
+def _dense_first_mismatch(M, Y):
+    """d_x Y against the full product A Y, scanned row-major: the
+    reference for verify_fundamental's first_mismatch."""
+    lhs, rhs = matrices.deriv(Y, "x"), matrices.mul(M.A, Y)
+    return next(((r, c) for r, (lrow, rrow) in enumerate(zip(lhs, rhs))
+                 for c, (a, b) in enumerate(zip(lrow, rrow)) if a != b), None)
+
+
+# t/x and theta repeated and first, and 0 third, so that some rows and some
+# whole systems hold
+_A_ENTRIES = [parse_expr(e) for e in (
+    "t/x", "t/x", "0", "0", "1/x", "1", "x*t", "(x + t)/(x - t)")]
+_Y_ENTRIES = [parse_solution(e) for e in (
+    "theta", "theta", "0", "1", "lam*theta", "x*theta + t", "theta^2 - lam")]
+
+
+def _square(entries, n):
+    return st.lists(st.lists(st.sampled_from(entries), min_size=n,
+                             max_size=n), min_size=n, max_size=n)
+
+
+def _near_diagonal(entries, n):
+    """entries[0] times the identity, with one entry redrawn."""
+    def build(rce):
+        r, c, e = rce
+        out = [[entries[0] if i == j else entries[2] for j in range(n)]
+               for i in range(n)]
+        out[r][c] = e
+        return out
+    return st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                     st.sampled_from(entries)).map(build)
+
+
+_systems = st.integers(1, 2).flatmap(lambda n: st.tuples(
+    st.one_of(_near_diagonal(_A_ENTRIES, n), _square(_A_ENTRIES, n)),
+    st.one_of(_near_diagonal(_Y_ENTRIES, n), _square(_Y_ENTRIES, n))))
+
+
+@hypothesis.given(_systems, st.integers(0, 3),
+                  st.sampled_from([build_fundamental_prolongation,
+                                   unweighted_prolongation]))
+@hypothesis.example(([[_A_ENTRIES[0]]], [[_Y_ENTRIES[0]]]), 3,
+                    unweighted_prolongation)
+@hypothesis.settings(deadline=None, max_examples=60)
+def test_first_mismatch_matches_the_dense_product(AY, i, build):
+    A, Y = AY
+    M, Yi = prolong(DiffModule(A), i), build(Y, i)
+    want = _dense_first_mismatch(M, Yi)
+    check = verify_fundamental(M, Yi)
+    assert check.first_mismatch == want
+    assert check.derivative_ok == (want is None)
+
+
+def _count_products(monkeypatch):
+    """Count RatFunc products from here on; returns the reader.  A RatFunc
+    times a SolExpr hands over to SolExpr.__rmul__, and is no product."""
+    calls = []
+    times = ratfield.RatFunc.__mul__
+
+    def counted(a, b):
+        out = times(a, b)
+        if out is not NotImplemented:
+            calls.append(None)
+        return out
+    monkeypatch.setattr(ratfield.RatFunc, "__mul__", counted)
+    monkeypatch.setattr(ratfield.RatFunc, "__rmul__", counted)
+    return lambda: len(calls)
+
+
+def test_a_failing_verify_stops_at_its_first_mismatch(monkeypatch):
+    M, Y = xt_example()
+    M3, Y3 = prolong(M, 3), unweighted_prolongation(Y, 3)
+    count = _count_products(monkeypatch)
+    check = verify_fundamental(M3, Y3)
+    scan = count()
+    # what the dense check makes: d_x Y, the whole of A Y, the determinant
+    matrices.deriv(Y3, "x")
+    matrices.mul(M3.A, Y3)
+    sol_nonsingular(Y3)
+    full = count() - scan
+    assert check.first_mismatch == (2, 1)
+    assert scan < full
 
 
 def test_constant_module_prolonged_solution_is_diagonal():
