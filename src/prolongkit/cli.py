@@ -6,7 +6,8 @@ clock and writes output: the report to stdout as JSON with sorted keys and
 no volatile fields, so a given invocation is byte-stable, and a one-line
 summary with its timing to stderr.  Exit codes: 0 success, 1 a mathematical
 check failed, 2 usage, input or output errors: an output error is a report,
-summary or error line that its stream cannot take, closed or full.
+summary, error line or help text that its stream cannot take, closed or
+full.
 
 Only `check` loads the check suites, and only `check hopf` the Hopf
 algebras, so `prolong`, `verify`, `tensor`, `dual` and `dsum` import
@@ -215,12 +216,26 @@ def cmd_construct(args):
 
 # argument plumbing --------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser, and the class of its subcommands' parsers, whose
+    help text that stdout cannot take is an output error: one error line
+    and exit 2, where argparse would drop the text and exit 0."""
+
+    def print_help(self, file=None):
+        error = _write(sys.stdout if file is None else file,
+                       self.format_help())
+        if error is not None:
+            _write(sys.stderr, "error: cannot write the help: "
+                               f"{error.strerror or error}\n")
+            self.exit(2)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
     call: parse_args leaves it unchanged, and help text reads the terminal
     width only when it is formatted."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="prolongkit",
         description="Exact prolongation calculus for parameterized linear "
                     "differential systems over Q(x,t).")

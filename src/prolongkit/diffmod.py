@@ -21,7 +21,8 @@ The two order-i shapes are conjugate by the constant upper-triangular matrix
 of change_basis_matrix, and the order-2 one-step shape embeds into the
 twice-iterated shape through the constant map of embedding_E.  These two,
 inclusion_i, projection_phi and dual_swap_g are each a constant map
-W (x) I_n of a small rational pattern W, built by one Kronecker product.
+W (x) I_n of a small rational pattern W, whose entries are placed into a
+zero matrix with no product taken.
 Every prolongation, here and in solspace, is built from the one derivative
 tower A, A_t, ..., d_t^i A, by the block builder behind
 matrices.prolongation or, for the iterated shape, by iterate_F.
@@ -38,6 +39,7 @@ from __future__ import annotations
 import math
 
 from . import matrices as mat
+from .matrices import _ONE, _ZERO
 from .ratfield import Fraction, RatFunc
 
 
@@ -100,25 +102,28 @@ class ModuleMorphism:
 def is_morphism(P, src: DiffModule, dst: DiffModule) -> bool:
     """Does P define a morphism src -> dst of differential modules?  d_x P =
     B P - P A is checked entry by entry, up to the first mismatch, with no
-    matrix product (matrices.first_mismatch); a constant P takes no d_x."""
+    matrix product (matrices.first_mismatch); a constant P takes no d_x
+    and passes no D, since d_x P = 0."""
     rows, cols = mat.shape(P)
     if rows != dst.n or cols != src.n:
         raise ValueError(
             f"morphism matrix must be {dst.n}x{src.n}, got {rows}x{cols}")
-    D = mat.zeros(rows, cols) if mat.is_constant(P) else mat.deriv(P, "x")
+    D = None if mat.is_constant(P) else mat.deriv(P, "x")
     return mat.first_mismatch(P, D, src.A, dst.A) is None
 
 
-_ZERO = RatFunc.zero()
-_ONE = RatFunc.one()
-
-
 def _pattern(W, n: int):
-    """The constant map W (x) I_n of the rational scalar pattern W; its 0s
-    and 1s become shared RatFunc constants."""
-    return mat.kron([[_ZERO if w == 0 else _ONE if w == 1
-                      else RatFunc.from_fraction(w) for w in row]
-                     for row in W], mat.identity(n))
+    """The constant map W (x) I_n of the rational scalar pattern W: each
+    nonzero weight w, as _ONE when w is 1, fills the n diagonal slots
+    of its block of a zero matrix."""
+    P = mat.zeros(len(W) * n, len(W[0]) * n)
+    for i, row in enumerate(W):
+        for j, w in enumerate(row):
+            if w:
+                e = _ONE if w == 1 else RatFunc.from_fraction(w)
+                for d in range(n):
+                    P[i * n + d][j * n + d] = e
+    return P
 
 
 def _keep(M: DiffModule, key, build):
@@ -219,10 +224,25 @@ def embedding_E(M: DiffModule) -> ModuleMorphism:
 # binary constructions -----------------------------------------------------
 
 def tensor(M: DiffModule, N: DiffModule) -> DiffModule:
-    """Tensor product; matrix A (x) I + I (x) B on the row-major paired basis."""
-    A = mat.kron(M.A, mat.identity(N.n))
-    B = mat.kron(mat.identity(M.n), N.A)
-    return DiffModule(mat.add(A, B))
+    """Tensor product; matrix A (x) I + I (x) B on the row-major paired basis.
+
+    Each nonzero entry of A and of B is placed into a zero matrix; only a
+    diagonal entry of A and one of B that meet on a slot make a sum.
+    """
+    n, m = M.n, N.n
+    T = mat.zeros(n * m, n * m)
+    for p, row in enumerate(M.A):
+        for p2, a in enumerate(row):
+            if a:
+                for q in range(m):
+                    T[p * m + q][p2 * m + q] = a
+    for q, row in enumerate(N.A):
+        for q2, b in enumerate(row):
+            if b:
+                for p in range(n):
+                    line, j = T[p * m + q], p * m + q2
+                    line[j] = b if line[j] is _ZERO else line[j] + b
+    return DiffModule(T)
 
 
 def dsum(M: DiffModule, N: DiffModule) -> DiffModule:

@@ -1,10 +1,10 @@
 """Matrices over RatFunc as plain lists of lists, with pure functions.
 
-The product and the Kronecker product skip zero entries, and leave a
-factor 1 to the entries' own product.  Nothing here mutates its arguments.
-first_mismatch checks d_x P = B P - P A, the identity of a morphism and of a
-fundamental solution, entry by entry with no matrix product, and stops at
-the first entry where it fails.
+The product skips zero entries, and leaves a factor 1 to the entries' own
+product.  Nothing here mutates its arguments.  first_mismatch checks
+d_x P = B P - P A, the identity of a morphism and of a fundamental
+solution, entry by entry with no matrix product, and stops at the first
+entry where it fails; it adds no zero term and multiplies by no weight 1.
 rank, det and inverse share one Gauss-Jordan elimination over the pivot
 row's nonzero entries, which relies on exact field division so there is no
 pivoting subtlety; inverse(A, B) returns A^(-1) B from one elimination.
@@ -73,25 +73,44 @@ def mul(A, B):
 
 def first_mismatch(P, D, A, B):
     """The first (row, col), row-major, where D differs from B P - P A, or
-    None when D = B P - P A.  Entry (r, c) compares B[r] P[:, c] with
-    D[r][c] + P[r] A[:, c], each sum over P's nonzero entries only.  As in
-    mul, P's entries may be anything a RatFunc scales (SolExpr), so each
-    stays the left operand, and the zero of the sum B[r] P[:, c] is P's."""
-    z = P[0][0] * _ZERO
+    None when D = B P - P A; D = None stands for d_x P = 0.  Entry (r, c)
+    compares B[r] P[:, c] with D[r][c] + P[r] A[:, c], each a sum over the
+    nonzero terms only, started at its first one.  As in mul, P's entries
+    may be anything a RatFunc scales (SolExpr), so each stays the left
+    operand; an entry under P's weight _ONE is used as it is.  Two empty
+    sums, or two sums that are one object, are equal with no comparison."""
+    D = [[None] * len(row) for row in P] if D is None else _nonzero(D)
+    acols = _nonzero(zip(*A))
     pcols = [[(k, p) for k, p in enumerate(col) if p] for col in zip(*P)]
-    for r, (brow, prow, drow) in enumerate(zip(B, P, D)):
+    for r, (brow, prow, drow) in enumerate(zip(_nonzero(B), P, D)):
         prow = [(k, p) for k, p in enumerate(prow) if p]
         for c, pcol in enumerate(pcols):
-            bp, pa = z, drow[c]
-            for k, p in pcol:
-                if brow[k]:
-                    bp = bp + p * brow[k]
-            for k, p in prow:
-                if A[k][c]:
-                    pa = pa + p * A[k][c]
-            if bp != pa:
+            bp = _dot(pcol, brow, None)
+            pa = _dot(prow, acols[c], drow[c])
+            if bp is pa:
+                continue
+            if bp is None or pa is None:
+                if bp or pa:  # the one nonempty sum is not zero
+                    return r, c
+            elif bp != pa:
                 return r, c
     return None
+
+
+def _nonzero(rows):
+    """rows as lists with None for each zero entry."""
+    return [[a if a else None for a in row] for row in rows]
+
+
+def _dot(pairs, vec, acc):
+    """acc plus the sum of p * vec[k] over (k, p) in pairs, None standing
+    for a zero vec[k] and for an empty sum; a p that is _ONE gives vec[k]."""
+    for k, p in pairs:
+        a = vec[k]
+        if a is not None:
+            term = a if p is _ONE else p * a
+            acc = term if acc is None else acc + term
+    return acc
 
 
 def transpose(A):
@@ -131,21 +150,6 @@ def is_zero(A) -> bool:
 
 def is_constant(A) -> bool:
     return all(a.is_constant for row in A for a in row)
-
-
-def kron(A, B):
-    """Kronecker product over pairs of nonzero entries."""
-    ra, ca = shape(A)
-    rb, cb = shape(B)
-    out = zeros(ra * rb, ca * cb)
-    bnz = [(k, l, b)
-           for k, row in enumerate(B) for l, b in enumerate(row) if b]
-    for i, row in enumerate(A):
-        for j, a in enumerate(row):
-            if a:
-                for k, l, b in bnz:
-                    out[i * rb + k][j * cb + l] = a * b
-    return out
 
 
 def block(rows):

@@ -669,6 +669,37 @@ def test_a_closed_stdout_is_an_output_error(xt_file):
                            f"{os.strerror(errno.EBADF)}\n")
 
 
+_HELP_ARGVS = {"top": ["--help"], "prolong": ["prolong", "--help"]}
+
+
+def _help_into(stdout, argv):
+    return subprocess.run([sys.executable, "-m", "prolongkit", *argv],
+                          stdout=stdout, stderr=subprocess.PIPE, text=True,
+                          env=dict(_src_env(), COLUMNS="80"), timeout=60)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", _HELP_ARGVS.values(), ids=_HELP_ARGVS)
+def test_help_into_a_full_disk_is_an_output_error(argv):
+    with open("/dev/full", "w") as full:
+        proc = _help_into(full, argv)
+    assert proc.returncode == 2
+    assert proc.stderr == ("error: cannot write the help: "
+                           f"{os.strerror(errno.ENOSPC)}\n")
+
+
+@pytest.mark.parametrize("argv", _HELP_ARGVS.values(), ids=_HELP_ARGVS)
+def test_help_to_a_working_stdout_exits_0(argv, monkeypatch):
+    proc = _help_into(subprocess.PIPE, argv)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert proc.stdout.startswith(
+        " ".join(["usage: prolongkit", *argv[:-1], "[-h]"]))
+    if argv == ["--help"]:
+        monkeypatch.setenv("COLUMNS", "80")
+        assert proc.stdout == cli._parser().format_help()
+
+
 # a summary or an error line that stderr cannot take is an output error too:
 # exit 2, with the report, where there is one, still on stdout in full
 _STDERR_CASES = {

@@ -22,6 +22,9 @@ from prolongkit.sampling import (random_constant_invertible, random_module,
                                  random_poly_ratfunc)
 from prolongkit.solspace import xt_example
 
+from dense_reference import first_mismatch as dense_first_mismatch
+from dense_reference import identity, kron, kron_sum
+
 
 def pmat(rows):
     return [[parse_expr(e) for e in row] for row in rows]
@@ -218,15 +221,28 @@ def test_constant_conjugation_gives_morphism():
     assert is_morphism(Q, M, N)
 
 
+# weights 0, 1 (the shared unit), 1/2, 2 and 1/3
+_WEIGHTS = [[1, 0, Fraction(1, 2)], [2, Fraction(1, 3), 1]]
+
+
 def _constant_morphisms(n):
-    """The structure maps of a seeded module of dimension n, and the
-    change of basis (C^T)^(-1) from prolong_lemma(M, 2) to prolong(M, 2)."""
+    """The structure maps of a seeded module of dimension n, the change of
+    basis (C^T)^(-1) from prolong_lemma(M, 2) to prolong(M, 2), and the
+    pattern _WEIGHTS (x) I_n from three copies of M to two, a morphism as
+    is W (x) I_n for every rational 2x3 W."""
     M = random_module(random.Random(n), n, 2)
     N = random_module(random.Random(n + 10), 1, 2)
     Q = mat.inverse(mat.transpose(change_basis_matrix(n, 2)))
     return [inclusion_i(M), projection_phi(M), product_rule_map(M, N),
             dual_swap_g(M), embedding_E(M),
-            ModuleMorphism(prolong_lemma(M, 2), prolong(M, 2), Q)]
+            ModuleMorphism(prolong_lemma(M, 2), prolong(M, 2), Q),
+            ModuleMorphism(dsum(dsum(M, M), M), dsum(M, M),
+                           diffmod._pattern(_WEIGHTS, n))]
+
+
+def _weights(rows):
+    """The rational matrix rows as RatFunc constants."""
+    return [[RatFunc.from_fraction(Fraction(w)) for w in row] for row in rows]
 
 
 def _with_entry(P, r, c, value):
@@ -235,33 +251,54 @@ def _with_entry(P, r, c, value):
     return out
 
 
+def _assert_constant_scan_agrees(Q, src, dst):
+    """is_morphism on the constant Q, and first_mismatch with D = None and
+    with an explicit zero D, agree with the full products; the verdict."""
+    want = dense_first_mismatch(Q, src, dst)
+    assert is_morphism(Q, src, dst) == (want is None)
+    assert mat.first_mismatch(Q, None, src.A, dst.A) == want
+    assert mat.first_mismatch(Q, mat.zeros(*mat.shape(Q)), src.A,
+                              dst.A) == want
+    return want is None
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_constant_is_morphism_agrees_with_the_products(n):
     verdicts = []
-    for phi in _constant_morphisms(n):
+    maps = _constant_morphisms(n)
+    for phi in maps:
         P = phi.P
         rows, cols = mat.shape(P)
         for Q in (P, _with_entry(P, 0, 0, P[0][0] + 1),
                   _with_entry(P, -1, -1, P[-1][-1] + 1), mat.zeros(rows, cols)):
-            want = mat.eq(mat.mul(phi.dst.A, Q), mat.mul(Q, phi.src.A))
-            assert is_morphism(Q, phi.src, phi.dst) == want
-            verdicts.append(want)
+            verdicts.append(_assert_constant_scan_agrees(Q, phi.src, phi.dst))
     # every map and every zero P holds, and some changed maps do not
-    assert verdicts[::4] == [True] * 6 and verdicts[3::4] == [True] * 6
+    assert verdicts[::4] == [True] * 7 and verdicts[3::4] == [True] * 7
     assert False in verdicts
+    # the pattern with one entry changed, at each position in turn, by
+    # each weight and to the shared unit
+    phi = maps[-1]
+    rows, cols = mat.shape(phi.P)
+    for r, c in itertools.product(range(rows), range(cols)):
+        for Q in [_with_entry(phi.P, r, c, phi.P[r][c] + w)
+                  for w in (1, Fraction(1, 2), 2, Fraction(1, 3))] + [
+                _with_entry(phi.P, r, c, mat._ONE)]:
+            _assert_constant_scan_agrees(Q, phi.src, phi.dst)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_constant_is_morphism_reaches_every_entry(n):
-    # against a zero module one side is zero, so the unit matrix E_rc
-    # fails in row r alone (into it) or in column c alone (out of it)
+    # against a zero module one side is zero, so the matrix with one
+    # nonzero weight at (r, c) fails in row r alone (into it) or in
+    # column c alone (out of it)
     M = random_module(random.Random(n), n, 2)
     Z = DiffModule(mat.zeros(2, 2))
     for src, dst in ((M, Z), (Z, M)):
         for r, c in itertools.product(range(dst.n), range(src.n)):
-            E = _with_entry(mat.zeros(dst.n, src.n), r, c, RatFunc.one())
-            want = mat.eq(mat.mul(dst.A, E), mat.mul(E, src.A))
-            assert is_morphism(E, src, dst) == want
+            for w in [mat._ONE] + _weights([[1, Fraction(1, 2), 2,
+                                             Fraction(1, 3)]])[0]:
+                E = _with_entry(mat.zeros(dst.n, src.n), r, c, w)
+                _assert_constant_scan_agrees(E, src, dst)
 
 
 @pytest.fixture
@@ -365,9 +402,9 @@ def test_product_rule_map_is_the_sum_of_three_slot_maps():
         for m in (1, 2, 3):
             want = mat.zeros(4 * n * m, 2 * n * m)
             for a, b, r in ((0, 1, 0), (1, 0, 0), (1, 1, 1)):
-                slot = mat.kron(mat.kron(mat.kron(
-                    unit(2, 2, a, r), mat.identity(n)), unit(2, 1, b, 0)),
-                    mat.identity(m))
+                slot = kron(kron(kron(
+                    unit(2, 2, a, r), identity(n)), unit(2, 1, b, 0)),
+                    identity(m))
                 want = mat.add(want, slot)
             M = DiffModule(mat.zeros(n, n))
             N = DiffModule(mat.zeros(m, m))
@@ -419,6 +456,51 @@ def test_tensor_kronecker_block_structure():
     N = DiffModule(pmat([["t", "0"], ["1", "t"]]))
     T = tensor(M, N)
     assert render_matrix(T.A) == [["x + t", "0"], ["1", "x + t"]]
+
+
+# zeros and units repeated, so that many slots are empty or meet a 1
+_TENSOR_ENTRIES = ("0", "0", "0", "1", "-1", "1/2", "x", "t/x", "x^2 - t",
+                   "(x + t)/(x - 1)")
+
+
+@pytest.mark.parametrize("n, m", list(itertools.product((1, 2, 3), repeat=2)))
+def test_tensor_matches_the_kronecker_sum(monkeypatch, n, m):
+    # only a diagonal slot of A (x) I meets one of I (x) B, so at most n m
+    # slots take a sum
+    rng = random.Random(10 * n + m)
+    pairs = [[DiffModule(pmat([[rng.choice(_TENSOR_ENTRIES) for _ in range(k)]
+                               for _ in range(k)])) for k in (n, m)]
+             for _ in range(4)]
+    sums, tensors = [], []
+    add = RatFunc.__add__
+    monkeypatch.setattr(RatFunc, "__add__",
+                        lambda a, b: sums.append(1) or add(a, b))
+    for M, N in pairs:
+        sums.clear()
+        tensors.append(tensor(M, N))
+        assert len(sums) <= n * m
+    monkeypatch.undo()
+    for (M, N), T in zip(pairs, tensors):
+        assert mat.eq(T.A, kron_sum(M.A, N.A))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pattern_maps_are_w_kron_identity(n):
+    M = random_module(random.Random(n), n, 2)
+    half = Fraction(1, 2)
+    maps = [(inclusion_i(M).P, [[0], [1]]),
+            (projection_phi(M).P, [[1, 0]]),
+            (dual_swap_g(M).P, [[0, 1], [1, 0]]),
+            (embedding_E(M).P,
+             [[1, 0, 0], [0, half, 0], [0, half, 0], [0, 0, 1]]),
+            (diffmod._pattern(_WEIGHTS, n), _WEIGHTS)]
+    for i in range(4):
+        maps.append((change_basis_matrix(n, i),
+                     [[math.comb(i - q + p, p) if p <= q else 0
+                       for q in range(i + 1)] for p in range(i + 1)]))
+    for P, W in maps:
+        assert mat.eq(P, kron(_weights(W), identity(n))), W
+        assert all(e is mat._ONE for row in P for e in row if e == 1), W
 
 
 def test_dsum_blocks():

@@ -1,23 +1,27 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from prolongkit import diffmod, ratfield
 from prolongkit import matrices as mat
-from prolongkit import ratfield
 from prolongkit.diffmod import (DiffModule, ModuleMorphism, change_basis_matrix,
-                                conjugate_constant, dual_swap_g, embedding_E,
-                                inclusion_i, is_morphism, product_rule_map,
-                                projection_phi, prolong, prolong_lemma,
-                                prolong_morphism)
+                                conjugate_constant, dsum, dual_swap_g,
+                                embedding_E, inclusion_i, is_morphism,
+                                product_rule_map, projection_phi, prolong,
+                                prolong_lemma, prolong_morphism)
 from prolongkit.exprparse import parse_expr
 from prolongkit.ratfield import RatFunc
 from prolongkit.sampling import random_constant_invertible, random_module
 from prolongkit.solspace import (SolExpr, build_fundamental_prolongation,
                                  parse_solution, unweighted_prolongation)
+
+from dense_reference import first_mismatch as dense_first_mismatch
+from dense_reference import kron
 
 
 def pmat(rows):
@@ -83,18 +87,6 @@ def test_mul_rejects_a_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch: 2x3 times 2x2"):
         mat.mul(pmat([["x", "1", "0"], ["t", "0", "1"]]),
                 pmat([["1", "0"], ["0", "1"]]))
-
-
-def test_kron_matches_the_entrywise_product():
-    # zeros and units in both factors take kron's shortcuts; the other
-    # pairs reach its a * b product, which no structure map does
-    rng = random.Random(19)
-    for ra, ca, rb, cb in itertools.product((1, 2, 3), repeat=4):
-        A = [[rng.choice(_RF_ENTRIES) for _ in range(ca)] for _ in range(ra)]
-        B = [[rng.choice(_RF_ENTRIES) for _ in range(cb)] for _ in range(rb)]
-        want = [[A[r // rb][c // cb] * B[r % rb][c % cb]
-                 for c in range(ca * cb)] for r in range(ra * rb)]
-        assert mat.eq(mat.kron(A, B), want)
 
 
 # elimination over non-constant entries -----------------------------------
@@ -365,7 +357,7 @@ def test_products_by_the_identity_keep_the_entry_objects(n):
         assert mat.eq(got, A)
         assert all(same(g, a) for row, arow in zip(got, A)
                    for g, a in zip(row, arow) if a)
-    K = mat.kron(I, A)
+    K = kron(I, A)
     assert all(same(K[i * n + k][i * n + l], a) for i in range(n)
                for k, arow in enumerate(A) for l, a in enumerate(arow) if a)
     assert mat.eq(K, mat.block([[A if r == c else mat.zeros(n, n)
@@ -476,32 +468,68 @@ def test_is_morphism_on_a_gauge_matrix_takes_d_x(monkeypatch, n, delta):
     assert derived == ["x", "x"]
 
 
-def _dense_first_mismatch(P, src, dst):
-    """d_x P against B P - P A by full products, scanned row-major."""
-    lhs = mat.deriv(P, "x")
-    rhs = mat.sub(mat.mul(dst.A, P), mat.mul(P, src.A))
-    return next(((r, c) for r, (lrow, rrow) in enumerate(zip(lhs, rhs))
-                 for c, (a, b) in enumerate(zip(lrow, rrow)) if a != b), None)
+def _pattern_morphism(M):
+    """W (x) I_n for a W with weights 0, 1 (the shared unit), 1/2, 2 and
+    1/3: a constant morphism from three copies of M to two, as is W (x) I_n
+    for every rational 2x3 W, since (W (x) I)(I (x) A) = W (x) A."""
+    W = [[1, 0, Fraction(1, 2)], [2, Fraction(1, 3), 1]]
+    return ModuleMorphism(dsum(dsum(M, M), M), dsum(M, M),
+                          diffmod._pattern(W, M.n))
+
+
+def _assert_scan_matches(P, src, dst, want):
+    """first_mismatch on P agrees with want, the dense first mismatch, with
+    D = d_x P and, for a constant P, with D = None and an explicit zero."""
+    Ds = [mat.deriv(P, "x")]
+    if mat.is_constant(P):
+        Ds += [None, mat.zeros(*mat.shape(P))]
+    for D in Ds:
+        assert mat.first_mismatch(P, D, src.A, dst.A) == want
 
 
 @pytest.mark.parametrize("i", range(3))
 @pytest.mark.parametrize("n", [1, 2])
 def test_is_morphism_agrees_with_the_products_at_every_entry(n, i):
-    phi = prolong_morphism(
-        _gauge_morphism(random_module(random.Random(40 + n), n)), i)
-    src, dst = phi.src, phi.dst
-    assert _dense_first_mismatch(phi.P, src, dst) is None
-    rows, cols = mat.shape(phi.P)
-    for r in range(rows):
-        for c in range(cols):
-            for delta in ("1", "x*t"):
-                bad = _changed(phi.P, r, c, delta)
-                want = _dense_first_mismatch(bad, src, dst)
-                assert is_morphism(bad, src, dst) == _condition_holds(
-                    bad, src, dst) == (want is None)
-                got = mat.first_mismatch(bad, mat.deriv(bad, "x"), src.A,
-                                         dst.A)
-                assert got == want, (r, c, delta)
+    M = random_module(random.Random(40 + n), n)
+    # the pattern's order-i prolongation is the unprolonged one at i = 0,
+    # and its size grows as (i + 1)^2, so it runs at the orders up to n
+    phis = [prolong_morphism(_gauge_morphism(M), i)]
+    if i <= n:
+        phis.append(prolong_morphism(_pattern_morphism(M), i))
+    for phi in phis:
+        src, dst = phi.src, phi.dst
+        assert dense_first_mismatch(phi.P, src, dst) is None
+        _assert_scan_matches(phi.P, src, dst, None)
+        rows, cols = mat.shape(phi.P)
+        for r in range(rows):
+            for c in range(cols):
+                bads = [_changed(phi.P, r, c, delta)
+                        for delta in ("1", "x*t")]
+                if mat.is_constant(phi.P):
+                    bads.append(_changed(phi.P, r, c, "1/2"))
+                    bads.append([list(row) for row in phi.P])
+                    bads[-1][r][c] = mat._ONE
+                for bad in bads:
+                    want = dense_first_mismatch(bad, src, dst)
+                    assert is_morphism(bad, src, dst) == _condition_holds(
+                        bad, src, dst) == (want is None)
+                    _assert_scan_matches(bad, src, dst, want)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_structure_map_checks_take_no_sum_and_no_product(monkeypatch, n):
+    # each entry of either side is one module entry under a weight _ONE, or
+    # an empty sum; a nonempty side is the other side's very object
+    M = random_module(random.Random(n), n, 2)
+    phis = [inclusion_i(M), projection_phi(M)]
+    calls = []
+    for name in ("__mul__", "__add__"):
+        def counting(a, b, _run=getattr(RatFunc, name), _name=name):
+            calls.append(_name)
+            return _run(a, b)
+        monkeypatch.setattr(RatFunc, name, counting)
+    assert all(is_morphism(phi.P, phi.src, phi.dst) for phi in phis)
+    assert calls == []
 
 
 def _layout(builder, n, i):
