@@ -32,14 +32,6 @@ def shape(A) -> tuple[int, int]:
     return len(A), len(A[0]) if A else 0
 
 
-def add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def sub(A, B):
-    return [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
 def neg(A):
     return _map_distinct(A, lambda a: -a)
 
@@ -73,20 +65,22 @@ def mul(A, B):
 
 def first_mismatch(P, D, A, B):
     """The first (row, col), row-major, where D differs from B P - P A, or
-    None when D = B P - P A; D = None stands for d_x P = 0.  Entry (r, c)
+    None when D = B P - P A; D = None stands for d_x P = 0, and A = None
+    for a zero A, whose P A side is not summed.  Entry (r, c)
     compares B[r] P[:, c] with D[r][c] + P[r] A[:, c], each a sum over the
     nonzero terms only, started at its first one.  As in mul, P's entries
     may be anything a RatFunc scales (SolExpr), so each stays the left
     operand; an entry under P's weight _ONE is used as it is.  Two empty
     sums, or two sums that are one object, are equal with no comparison."""
     D = [[None] * len(row) for row in P] if D is None else _nonzero(D)
-    acols = _nonzero(zip(*A))
+    acols = None if A is None else _nonzero(zip(*A))
     pcols = [[(k, p) for k, p in enumerate(col) if p] for col in zip(*P)]
     for r, (brow, prow, drow) in enumerate(zip(_nonzero(B), P, D)):
-        prow = [(k, p) for k, p in enumerate(prow) if p]
+        if acols is not None:
+            prow = [(k, p) for k, p in enumerate(prow) if p]
         for c, pcol in enumerate(pcols):
             bp = _dot(pcol, brow, None)
-            pa = _dot(prow, acols[c], drow[c])
+            pa = drow[c] if acols is None else _dot(prow, acols[c], drow[c])
             if bp is pa:
                 continue
             if bp is None or pa is None:

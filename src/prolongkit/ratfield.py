@@ -11,7 +11,9 @@ Four layers live here:
             MPoly (through exprparse.render_poly) and of a DiffPoly,
   MPoly     sparse polynomials in x and t over Q with int or Fraction
             coefficients, specialising only the product, in which a
-            factor 1 is the other factor itself,
+            factor 1 is the other factor itself and a one-term factor
+            c x^a t^b shifts the other's keys by (a, b) and scales its
+            coefficients by c,
   RatFunc   rational functions kept in canonical form (coprime polynomials
             with int coefficients and no shared integer factor; the
             denominator's leading coefficient under lexicographic order with
@@ -165,8 +167,9 @@ class MPoly(Sparse):
     coefficients may leave a Fraction(k, 1), which compares and hashes
     equal to k.  RatFunc's constructor clears such values, so every RatFunc
     numerator and denominator has int coefficients and runs on plain int
-    arithmetic.  The product is the one loop specialised to these keys;
-    the sum, difference and scaling are the base's.
+    arithmetic.  The product is the one loop specialised to these keys,
+    with a one-term factor done as a shift; the sum, difference and
+    scaling are the base's.
     """
 
     __slots__ = ()
@@ -233,9 +236,21 @@ class MPoly(Sparse):
             return self
         if self.terms == _ONE_TERMS:
             return other
+        # a one-term factor c x^a t^b shifts the other's keys by (a, b) and
+        # scales its coefficients by c: the keys stay distinct and the
+        # coefficients nonzero, so there is nothing to add up or filter
+        A, B = self.terms, other.terms
+        if len(B) == 1:
+            ((bx, bt), bc), = B.items()
+            return _poly({(ax + bx, at + bt): ac * bc
+                          for (ax, at), ac in A.items()})
+        if len(A) == 1:
+            ((ax, at), ac), = A.items()
+            return _poly({(ax + bx, at + bt): ac * bc
+                          for (bx, bt), bc in B.items()})
         acc: dict[Term, int | Fraction] = {}
-        B = list(other.terms.items())
-        for (ax, at), ac in self.terms.items():
+        B = list(B.items())
+        for (ax, at), ac in A.items():
             for (bx, bt), bc in B:
                 key = (ax + bx, at + bt)
                 acc[key] = acc.get(key, 0) + ac * bc
@@ -245,6 +260,8 @@ class MPoly(Sparse):
         return Sparse.scale(self, _scalar(c))
 
     def deriv(self, var: str) -> MPoly:
+        if var not in ("x", "t"):
+            raise ValueError(f"unknown derivation {var!r}")
         idx = 0 if var == "x" else 1
         out: dict[Term, int | Fraction] = {}
         for (dx, dt), c in self.terms.items():
@@ -375,18 +392,21 @@ def _gcd_zt(a: list[int], b: list[int]) -> list[int]:
         k = math.gcd(*g)
         if k != 1:
             g = [v // k for v in g]
-        if _divides_zt(a, g) and _divides_zt(b, g):
+        # a constant candidate is the unit once its content is removed, and
+        # the unit divides both sides
+        if len(g) == 1 or (_divides_zt(a, g) and _divides_zt(b, g)):
             c = math.gcd(*a, *b)
             return g if c == 1 else [v * c for v in g]
         xi = 2 * xi + 1
 
 
-def _eval_x(P: dict[Term, int], xi: int) -> list[int]:
-    """The dense coefficient list in t of P at x = xi."""
+def _eval_x(P: dict[Term, int], xi: int, deg_x: int, deg_t: int) -> list[int]:
+    """The dense coefficient list in t of P at x = xi; deg_x and deg_t are
+    P's degrees in x and in t."""
     powers = [1]
-    for _ in range(max(P)[0]):
+    for _ in range(deg_x):
         powers.append(powers[-1] * xi)
-    out = [0] * (max(j for _, j in P) + 1)
+    out = [0] * (deg_t + 1)
     for (i, j), c in P.items():
         out[j] += c * powers[i]
     return out
@@ -397,7 +417,8 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
     their canonical gcd in Q[x, t]: integer-primitive with positive leading
     coefficient under lex order x > t.  Both cofactors are integral."""
     P, Q = p.terms, q.terms
-    if P and Q and (p.is_constant or q.is_constant):
+    if P and Q and ((len(P) == 1 and (0, 0) in P)
+                    or (len(Q) == 1 and (0, 0) in Q)):
         return _MP_ONE, p, q
     if not P or not Q or P == Q:
         # gcd(p, 0) = gcd(p, p) is p's primitive part, and each nonzero
@@ -419,11 +440,13 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
         return (_poly({(i, j): 1}),
                 _poly({(a - i, b - j): c for (a, b), c in P.items()}),
                 _poly({(a - i, b - j): c for (a, b), c in Q.items()}))
-    xi = min(_bound(P.values(), max(P)[0] + max(j for _, j in P)),
-             _bound(Q.values(), max(Q)[0] + max(j for _, j in Q)))
+    px, pt = max(P)[0], max(j for _, j in P)
+    qx, qt = max(Q)[0], max(j for _, j in Q)
+    xi = min(_bound(P.values(), px + pt), _bound(Q.values(), qx + qt))
     while True:
         terms = {}
-        for j, v in enumerate(_gcd_zt(_eval_x(P, xi), _eval_x(Q, xi))):
+        for j, v in enumerate(_gcd_zt(_eval_x(P, xi, px, pt),
+                                      _eval_x(Q, xi, qx, qt))):
             for i, d in enumerate(_digits(v, xi)):
                 if d:
                     terms[(i, j)] = d

@@ -236,8 +236,8 @@ def verify_fundamental(M: DiffModule, Y) -> FundamentalCheck:
     """
     if len(Y) != M.n or any(len(row) != M.n for row in Y):
         raise ValueError(f"solution matrix must be {M.n}x{M.n}")
-    first = mat.first_mismatch(Y, mat.deriv(Y, "x"), mat.zeros(M.n, M.n),
-                               M.A)
+    # Y is a morphism from the trivial module, whose matrix is zero
+    first = mat.first_mismatch(Y, mat.deriv(Y, "x"), None, M.A)
     det_ok = sol_nonsingular(Y)
     return FundamentalCheck(first is None, first, det_ok)
 

@@ -21,6 +21,8 @@ from prolongkit.diffmod import dsum
 from prolongkit.exprparse import parse_expr, render_matrix
 from prolongkit.solspace import xt_example
 
+from dense_reference import add
+
 XT_DOC = '{"name": "xt", "n": 1, "matrix": [["t/x"]]}'
 CONST_DOC = '{"n": 2, "matrix": [["0", "1"], ["0", "0"]]}'
 CONST_SOL = '{"n": 2, "matrix": [["x", "1"], ["1", "0"]]}'
@@ -116,8 +118,8 @@ def _dense_pair(tmp_path, n):
     U = pmat(lambda r, c: "1" if r == c else "0" if r > c
              else cycle[(r * c + 1) % 5])
     P = mat.mul(L, U)
-    A = mat.add(mat.mul(mat.deriv(P, "x"), mat.inverse(P)),
-                mat.scale(mat.identity(n), parse_expr("t/x")))
+    A = add(mat.mul(mat.deriv(P, "x"), mat.inverse(P)),
+            mat.scale(mat.identity(n), parse_expr("t/x")))
     mod = tmp_path / "dense.json"
     mod.write_text(json.dumps({"n": n, "matrix": render_matrix(A)}))
     sol = tmp_path / "dense_sol.json"

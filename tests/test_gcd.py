@@ -372,3 +372,29 @@ def test_gcd_of_equal_sides_is_the_primitive_part(monkeypatch, p):
     assert cp == cq and cp.is_constant and cp.constant_value() < -1
     assert g * cp == p
     assert not calls
+
+
+def test_a_coprime_pair_makes_no_division_check(monkeypatch):
+    # the images in Z[t] are coprime, so the candidate there is the unit
+    calls = []
+    divides = ratfield._divides_zt
+    monkeypatch.setattr(ratfield, "_divides_zt",
+                        lambda a, g: calls.append(g) or divides(a, g))
+    p, q = _x + _t + _1, _x - _t
+    for a, b in ((p, q), (q, p)):
+        g, ca, cb = gcd(a, b)
+        assert g == _1 and ca is a and cb is b
+    assert not calls
+
+
+@pytest.mark.parametrize("f", [
+    _x + _1.scale(2), _t * _t + _1, _x * _x + _x * _t - _1.scale(2),
+], ids=["t-free", "x-free", "mixed"])
+def test_a_known_common_factor_comes_back_with_integral_cofactors(f):
+    # a t-free factor leaves a constant candidate in Z[t]: its content is
+    # f at x = xi, read back as f
+    p, q = f * (_x + _t), (f * (_x - _t) * (_t + _1)).scale(-3)
+    for a, b in ((p, q), (q, p)):
+        g, ca, cb = gcd(a, b)
+        assert g == f and g * ca == a and g * cb == b
+        assert all(type(c) is int for h in (ca, cb) for c in h.terms.values())

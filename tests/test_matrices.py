@@ -21,7 +21,7 @@ from prolongkit.solspace import (SolExpr, build_fundamental_prolongation,
                                  parse_solution, unweighted_prolongation)
 
 from dense_reference import first_mismatch as dense_first_mismatch
-from dense_reference import kron
+from dense_reference import add, kron, sub
 
 
 def pmat(rows):
@@ -415,7 +415,7 @@ def _gauge_morphism(M):
     every block of its order-3 prolongation is nonzero."""
     P = pmat([["t^3 + x"]] if M.n == 1
              else [["t^3 + x", "t*x"], ["0", "t^2 + 1"]])
-    B = mat.mul(mat.add(mat.deriv(P, "x"), mat.mul(P, M.A)), mat.inverse(P))
+    B = mat.mul(add(mat.deriv(P, "x"), mat.mul(P, M.A)), mat.inverse(P))
     return ModuleMorphism(M, DiffModule(B), P)
 
 
@@ -429,7 +429,7 @@ def _changed(P, r, c, delta):
 def _condition_holds(P, src, dst):
     """d_x P = B P - P A, with d_x P computed even when P is constant."""
     return mat.eq(mat.deriv(P, "x"),
-                  mat.sub(mat.mul(dst.A, P), mat.mul(P, src.A)))
+                  sub(mat.mul(dst.A, P), mat.mul(P, src.A)))
 
 
 # at n = 1 every constant scalar is a morphism of M to itself

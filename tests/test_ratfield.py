@@ -12,6 +12,8 @@ from prolongkit.ratfield import LinDiffOp, MPoly, RatFunc, gcd
 from prolongkit.sampling import random_module, random_operator, random_ratfunc
 from prolongkit.solspace import SolExpr
 
+from dense_reference import poly_product
+
 X = RatFunc.var_x()
 T = RatFunc.var_t()
 
@@ -530,6 +532,37 @@ def test_product_skips_products_by_one(monkeypatch, a, b, products):
 def test_mpoly_product_by_one_is_the_other_factor(p):
     assert p * MPoly.one() is p
     assert MPoly.one() * p is p
+
+
+one_term_coeffs = st.one_of(st.integers(-5, 5), coeffs).filter(bool)
+one_terms = st.builds(lambda k, c: MPoly({k: c}), keys, one_term_coeffs)
+mixed_mpolys = st.dictionaries(
+    keys, st.one_of(st.integers(-5, 5), coeffs), max_size=4).map(MPoly)
+
+
+@hypothesis.given(one_terms, mixed_mpolys)
+@hypothesis.example(MPoly.one(), MPoly({(1, 0): Fraction(1, 2), (0, 1): -3}))
+@hypothesis.settings(deadline=None, max_examples=200)
+def test_one_term_product_matches_the_double_loop(m, p):
+    # int, negative and Fraction coefficients, on either side
+    (shift_x, shift_t), = m.terms
+    for a, b in ((m, p), (p, m)):
+        product = a * b
+        assert product.terms == poly_product(a, b)
+        assert all(product.terms.values())
+        if m != MPoly.one():
+            # p's keys shifted by m's, in p's order
+            assert list(product.terms) == [(i + shift_x, j + shift_t)
+                                           for i, j in p.terms]
+    if m == MPoly.one():
+        assert p * m is p
+        if p != MPoly.one():
+            assert m * p is p
+
+
+def test_mpoly_deriv_rejects_an_unknown_derivation():
+    with pytest.raises(ValueError, match="unknown derivation 'z'"):
+        MPoly({(1, 2): 3}).deriv("z")
 
 
 @pytest.mark.parametrize("f", [

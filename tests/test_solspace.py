@@ -146,6 +146,19 @@ def test_first_mismatch_matches_the_dense_product(AY, i, build):
     assert check.derivative_ok == (want is None)
 
 
+@hypothesis.given(_systems, st.integers(0, 3),
+                  st.sampled_from([build_fundamental_prolongation,
+                                   unweighted_prolongation]))
+@hypothesis.settings(deadline=None, max_examples=40)
+def test_a_none_source_matrix_reads_as_zero(AY, i, build):
+    A, Y = AY
+    M, Yi = prolong(DiffModule(A), i), build(Y, i)
+    zero = matrices.zeros(M.n, M.n)
+    for D in (matrices.deriv(Yi, "x"), None):
+        assert (matrices.first_mismatch(Yi, D, None, M.A)
+                == matrices.first_mismatch(Yi, D, zero, M.A))
+
+
 def _count_products(monkeypatch):
     """Count RatFunc products from here on; returns the reader.  A RatFunc
     times a SolExpr hands over to SolExpr.__rmul__, and is no product."""
