@@ -18,9 +18,9 @@ Four layers live here:
             with int coefficients and no shared integer factor; the
             denominator's leading coefficient under lexicographic order with
             x > t is positive), so that structural equality decides field
-            equality; a product by 1 is the other operand itself, and a
-            result with denominator 1 is stored with no gcd and no second
-            normalisation,
+            equality; a product by 1 is the other operand itself, a result
+            with denominator 1 is stored with no gcd and no second
+            normalisation, and nested denominators add by one division,
   LinDiffOp linear differential operators sum a_q * d^q in a single
             derivation, with the noncommutative product d * a = a * d + a'.
 
@@ -332,7 +332,8 @@ def _scalar(c):
 # where c, the content of balanced digits, has |c| <= xi/2; the gcd's image
 # divides it, so h(xi) divides c.  But h divides p, so its coefficients are
 # below xi/2: if h is not constant, h(xi) is either of positive degree in t
-# or an integer larger than xi/2.  So h = 1.  The same holds in Z[t].
+# or an integer larger than xi/2.  So h = 1.  The same holds in Z[t]: an
+# image gcd of 1 is the gcd.
 #
 # Why the loop ends.  Write p = g*p1 and q = g*q1.  The image gcd is g(xi)
 # times the gcd of the images of p1 and q1, which divides their resultant:
@@ -388,7 +389,10 @@ def _gcd_zt(a: list[int], b: list[int]) -> list[int]:
             va = va * xi + v
         for v in reversed(b):
             vb = vb * xi + v
-        g = _digits(math.gcd(va, vb), xi)
+        h = math.gcd(va, vb)
+        if h == 1:
+            return [1]
+        g = _digits(h, xi)
         k = math.gcd(*g)
         if k != 1:
             g = [v // k for v in g]
@@ -398,6 +402,17 @@ def _gcd_zt(a: list[int], b: list[int]) -> list[int]:
             c = math.gcd(*a, *b)
             return g if c == 1 else [v * c for v in g]
         xi = 2 * xi + 1
+
+
+def _degrees(P: dict[Term, int]) -> tuple[int, int]:
+    """P's degrees in x and in t, read in one pass over its keys."""
+    dx = dt = 0
+    for i, j in P:
+        if i > dx:
+            dx = i
+        if j > dt:
+            dt = j
+    return dx, dt
 
 
 def _eval_x(P: dict[Term, int], xi: int, deg_x: int, deg_t: int) -> list[int]:
@@ -410,6 +425,14 @@ def _eval_x(P: dict[Term, int], xi: int, deg_x: int, deg_t: int) -> list[int]:
     for (i, j), c in P.items():
         out[j] += c * powers[i]
     return out
+
+
+def _primitive(p: MPoly) -> tuple[MPoly, int]:
+    """(g, c) with p = c g, g integer-primitive with a positive lead."""
+    c = math.gcd(*p.terms.values())
+    if p.terms[max(p.terms)] < 0:
+        c = -c
+    return p if c == 1 else _poly({k: v // c for k, v in p.terms.items()}), c
 
 
 def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
@@ -426,22 +449,22 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
         r = p if P else q
         if not r.terms:
             return _MP_ONE, p, q
-        c = math.gcd(*r.terms.values())
-        if r.terms[max(r.terms)] < 0:
-            c = -c
-        g = _poly({k: v // c for k, v in r.terms.items()})
+        g, c = _primitive(r)
         c = MPoly.const(c)
         return g, (c if P else p), (c if Q else q)
     if len(P) == 1 or len(Q) == 1:
-        i = min(min(P)[0], min(Q)[0])
-        j = min(j for _, j in (*P, *Q))
+        i, j = next(iter(P))
+        for a, b in (*P, *Q):
+            if a < i:
+                i = a
+            if b < j:
+                j = b
         if not i and not j:
             return _MP_ONE, p, q
         return (_poly({(i, j): 1}),
                 _poly({(a - i, b - j): c for (a, b), c in P.items()}),
                 _poly({(a - i, b - j): c for (a, b), c in Q.items()}))
-    px, pt = max(P)[0], max(j for _, j in P)
-    qx, qt = max(Q)[0], max(j for _, j in Q)
+    (px, pt), (qx, qt) = _degrees(P), _degrees(Q)
     xi = min(_bound(P.values(), px + pt), _bound(Q.values(), qx + qt))
     while True:
         terms = {}
@@ -450,18 +473,32 @@ def gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly]:
             for i, d in enumerate(_digits(v, xi)):
                 if d:
                     terms[(i, j)] = d
-        c = math.gcd(*terms.values())
-        if terms[max(terms)] < 0:
-            c = -c
-        if c != 1:
-            terms = {k: v // c for k, v in terms.items()}
-        if terms == _ONE_TERMS:
+        g = _primitive(_poly(terms))[0]
+        if g.terms == _ONE_TERMS:
             return _MP_ONE, p, q
-        g = _poly(terms)
         try:
             return g, p.exact_div(g), q.exact_div(g)
         except ValueError:
             xi = 2 * xi + 1
+
+
+def _nested_gcd(p: MPoly, q: MPoly) -> tuple[MPoly, MPoly, MPoly] | None:
+    """gcd(p, q) of unequal nonzero integer polynomials by one division, or
+    None: the primitive part of the one with the lex-smaller leading key, if
+    it divides the other; the cofactors are integral by Gauss's lemma."""
+    kp, kq = max(p.terms), max(q.terms)
+    swap = kq < kp
+    if swap:
+        p, q, kp, kq = q, p, kq, kp
+    if kp[1] > kq[1]:
+        return None
+    g, c = _primitive(p)
+    try:
+        r = q.exact_div(g)
+    except ValueError:
+        return None
+    c = MPoly.const(c)
+    return (g, r, c) if swap else (g, c, r)
 
 
 # ---------------------------------------------------------------------------
@@ -578,6 +615,8 @@ class RatFunc:
 
     # arithmetic -----------------------------------------------------------
     def __add__(self, other) -> RatFunc:
+        """The canonical sum.  Unequal denominators of two or more terms,
+        like e d^k and e d^(k+1), first try _nested_gcd's one division."""
         if type(other) is not RatFunc:
             other = _coerce(other)
             if other is NotImplemented:
@@ -597,7 +636,8 @@ class RatFunc:
             return RatFunc(num, d1, _reduce=False) if num.terms else _RF_ZERO
         # with reduced inputs the sum over the lcm denominator can only
         # share factors with g = gcd(d1, d2), so one small gcd suffices
-        g, d1r, d2r = gcd(d1, d2)
+        g, d1r, d2r = (len(d1.terms) > 1 and len(d2.terms) > 1
+                       and _nested_gcd(d1, d2)) or gcd(d1, d2)
         # nonzero: canonical -a has a's denominator, so these cannot cancel
         num = n1 * d2r + n2 * d1r
         # the lcm denominator is g * d1r * d2r = d1 * d2r; only g can cancel

@@ -113,19 +113,19 @@ class SolExpr(Sparse):
         return self.scale(RatFunc.one() / f)
 
     def deriv(self, var: str) -> SolExpr:
-        out = SolExpr()
+        out = {}
         for (a, b), c in self.terms.items():
-            acc = SolExpr({(a, b): c.deriv(var)})
+            parts = [((a, b), d)] if (d := c.deriv(var)) else []
             if var == "x":
                 if a:
-                    acc = acc + SolExpr({(a, b): c * (a * _T_OVER_X)})
+                    parts.append(((a, b), c * (a * _T_OVER_X)))
                 if b:
-                    acc = acc + SolExpr({(a, b - 1): c * (b * _ONE_OVER_X)})
-            else:
-                if a:
-                    acc = acc + SolExpr({(a, b + 1): c * a})
-            out = out + acc
-        return out
+                    parts.append(((a, b - 1), c * (b * _ONE_OVER_X)))
+            elif a:
+                parts.append(((a, b + 1), c * a))
+            for key, v in parts:
+                out[key] = out[key] + v if key in out else v
+        return self._like({k: v for k, v in out.items() if v})
 
 
 _ONE_OVER_X = RatFunc.one() / RatFunc.var_x()

@@ -398,3 +398,19 @@ def test_a_known_common_factor_comes_back_with_integral_cofactors(f):
         g, ca, cb = gcd(a, b)
         assert g == f and g * ca == a and g * cb == b
         assert all(type(c) is int for h in (ca, cb) for c in h.terms.values())
+
+
+@pytest.mark.parametrize("p, q", [
+    # the highest power of t sits off the lex-leading key x^2
+    (_x * _x + _t ** 5, _x * _t ** 3 + _1),
+    ((_x * _x + _t ** 5) * (_x + _t * _t), (_x * _t ** 3 + _1) * (_x + _t * _t)),
+    ((_x * _x - _t ** 4) * (_x - _t ** 2), _x * _t ** 3 - _t ** 5),
+    # the monomial route: the smallest power of t sits off the lex-smallest
+    # key t^3 (or x t^3)
+    (_x * _x * _t * _t, _t ** 3 + _x * _t),
+    ((_x * _x * _t * _t).scale(-3), _x * _x * _t + _x * _t ** 3),
+    (_x * _t ** 4, _x ** 3 * _t + _x * _t ** 5),
+], ids=["coprime", "shared", "t-factor", "mono-t", "mono-xt", "mono-x"])
+def test_gcd_reads_degrees_off_every_key(p, q):
+    for a, b in ((p, q), (q, p)):
+        assert_gcd_matches_reference(a, b)

@@ -498,6 +498,52 @@ def test_sum_skips_products_by_a_unit_cofactor(monkeypatch, a, b, products):
     assert_canonical(total)
 
 
+multi_term_mpolys = st.dictionaries(
+    keys, st.integers(-3, 3).filter(bool), min_size=2, max_size=3).map(MPoly)
+
+
+@hypothesis.given(nonzero_int_mpolys, nonzero_int_mpolys, multi_term_mpolys,
+                  st.one_of(st.just(MPoly.one()), multi_term_mpolys),
+                  st.integers(1, 2), st.integers(1, 2),
+                  st.integers(1, 6), st.integers(1, 6))
+@hypothesis.settings(deadline=None, max_examples=200)
+def test_sum_over_nested_denominators(n1, n2, f, h, a, extra, c1, c2):
+    # f^a h and f^b with a < b: with h = 1 the first divides the second,
+    # and with another h often neither divides the other; integer content
+    # on either side, and the divisor on the left and on the right
+    b = a + extra
+    left = RatFunc(n1, (f ** a * h).scale(c1))
+    right = RatFunc(n2, (f ** b).scale(c2))
+    for total in (left + right, right + left):
+        assert total == reduced_sum(left, right)
+        assert_canonical(total)
+
+
+@pytest.mark.parametrize("a, b, calls", [
+    (RatFunc(1, _x + _t), RatFunc(1, (_x + _t) ** 2), 0),
+    (RatFunc(1, _x.scale(2) + MPoly.const(2)),
+     RatFunc(1, (_x + MPoly.one()) ** 2), 0),
+    (RatFunc(1, _x + _t), RatFunc(1, _x - _t), 1),
+], ids=["d,d^2", "2d,d^2", "coprime"])
+def test_nested_denominators_take_one_division(monkeypatch, a, b, calls):
+    # the gcd of two denominators is a division when one's primitive part
+    # divides the other; a coprime pair still takes the heuristic gcd
+    for x, y in ((a, b), (b, a)):
+        dens = []
+        inner = ratfield.gcd
+
+        def counting(p, q):
+            if (p, q) in ((x.den, y.den), (y.den, x.den)):
+                dens.append((p, q))
+            return inner(p, q)
+        monkeypatch.setattr(ratfield, "gcd", counting)
+        total = x + y
+        monkeypatch.undo()
+        assert len(dens) == calls
+        assert total == reduced_sum(x, y)
+        assert_canonical(total)
+
+
 @pytest.mark.parametrize("a, b, products", [
     (RatFunc(_x + _t), RatFunc(_x - MPoly.one()), 1),
     (RatFunc(_x + _t), RatFunc.one(), 0),
