@@ -2,22 +2,25 @@
 
 Grammar (precedence climbing, low to high):
 
-    expr    := mult (('+' | '-') mult)*
-    mult    := unary (('*' | '/') unary)*
-    unary   := '-' unary | power
-    power   := atom ['^' exponent]
-    atom    := INT | NAME | '(' expr ')'
-    exponent:= ['-'] INT ['^' exponent] | '(' exponent ')'
+    sum     := product (('+' | '-') product)*
+    product := operand (('*' | '/') operand)*
+    operand := '-'* atom ['^' exponent]
+    atom    := INT | NAME | '(' sum ')'
+    exponent:= '-' exponent | '(' exponent ')' | INT ['^' exponent]
 
 '^' binds tighter than unary minus, so -x^2 is -(x^2); exponent towers
 associate to the right and must reduce to integers at parse time.  There is
 no implicit multiplication.  Whitespace is insignificant; errors carry the
 byte offset of the offending token.
 
-The parser evaluates as it reduces, in one pass.  A syntax error anywhere
-wins over an evaluation error (a division by zero, a zero to a negative
-power, or a ValueError of the ring's own): the first evaluation failure is
-held until the whole text has parsed, so "1/0 )" reports the ')'.
+Tokens are the strings of one regular-expression scan, made after two
+searches for a character outside the grammar and an over-long integer
+literal.  The parser holds them by index and evaluates as it reduces, in
+one pass and one frame per operand; a token's offset is computed, by a
+rescan, only for an error.  A syntax error anywhere wins over an
+evaluation error (a division by zero, a zero to a negative power, or a
+ValueError of the ring's own): the first evaluation failure is held until
+the whole text has parsed, so "1/0 )" reports the ')'.
 
 Nesting is capped at MAX_DEPTH levels: each unary minus, parenthesis or
 exponent puts its operand one level deeper, and input that goes deeper is a
@@ -56,12 +59,10 @@ class EvalError(ExprError):
 
 # tokenizer ----------------------------------------------------------------
 
-# skipped whitespace, then one token: an ASCII integer or name, an operator,
-# any other character (an error) or the end of the text.  Every character a
-# token can hold is ASCII, so character offsets are byte offsets
-_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<INT>[0-9]+)"
-                    r"|(?P<NAME>[A-Za-z_][A-Za-z0-9_]*)"
-                    r"|(?P<OP>[-+*/^()])|(?P<BAD>.)|\Z)", re.DOTALL)
+# skipped whitespace, then one token: an ASCII integer or name, or any other
+# non-space character, which past _BAD is an operator
+_TOKEN = re.compile(r"[ \t\r\n]*([0-9]+|[A-Za-z_][A-Za-z0-9_]*|[^ \t\r\n])")
+_BAD = re.compile(r"[^0-9A-Za-z_+\-*/^() \t\r\n]")
 
 # exponents are capped so a degenerate tower like 9^9^9 cannot blow up at
 # parse time
@@ -71,73 +72,63 @@ MAX_EXPONENT = 10 ** 6
 # default limit on int <-> str conversion, which bounds its quadratic cost
 MAX_DIGITS = 4300
 
-# the parser recurses through about five frames per level of parentheses,
-# so this keeps every accepted expression well inside the interpreter's
-# default recursion limit of 1000
+# the parser recurses through three frames per level of parentheses, so
+# this keeps every accepted expression well inside the interpreter's default
+# recursion limit of 1000
 MAX_DEPTH = 100
 
 
-def _tokenize(text: str):
-    """(kind, value, byte_offset) triples; kinds INT, NAME, OP, END."""
-    tokens = []
+def _scan(text: str) -> list[str]:
+    """The tokens of text as strings, then the end sentinel ""; the first
+    character outside the grammar or integer literal of too many digits is
+    a ParseError.  Every character before either is ASCII, so character
+    offsets are byte offsets."""
     # or the interpreter's limit if lower (none before Python 3.10.7)
     limit = min(MAX_DIGITS,
                 getattr(sys, "get_int_max_str_digits", int)() or MAX_DIGITS)
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind is None:
-            # trailing whitespace leaves one more empty match at the end
-            tokens.append(("END", "", m.end()))
-            break
-        if kind == "BAD":
-            raise ParseError(f"unexpected character {m[kind]!r}", m.start(kind))
-        if kind == "INT" and len(m[kind]) > limit:
-            raise ParseError(f"integer literal of more than {limit} "
-                             "digits", m.start(kind))
-        tokens.append((kind, m[kind], m.start(kind)))
+    bad = _BAD.search(text)
+    long = len(text) > limit and re.search(
+        r"(?<![0-9A-Za-z_])[0-9]{%d}" % (limit + 1), text)
+    if long and not (bad and bad.start() < long.start()):
+        raise ParseError(f"integer literal of more than {limit} digits",
+                         long.start())
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", bad.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append("")
     return tokens
+
+
+def _offset(text: str, k: int) -> int:
+    """Byte offset of token k of _scan(text); only an error needs one."""
+    for i, m in enumerate(_TOKEN.finditer(text)):
+        if i == k:
+            return m.start(1)
+    return len(text)
 
 
 class _Parser:
     """Recursive descent in which each rule returns the value of the text
-    it consumed, built from the ring elements that leaf gives."""
+    it consumed, built from the ring elements that leaf gives.  Tokens are
+    the strings of one scan, held by index; a token's offset is computed
+    only for an error."""
 
     def __init__(self, text: str, leaf):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = _scan(text)
         self.pos = 0
         self.leaf = leaf
-        # levels open around the current operand; the top level is 0
-        self.depth = -1
         # the first evaluation failure, raised once the whole text has parsed
         self.failure = None
 
-    def descend(self, off: int):
-        """Enter one level of nesting; unary() and exponent() call this on
-        entry and decrement self.depth on return."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
-                             off)
+    def error(self, message: str, k: int) -> ParseError:
+        return ParseError(message, _offset(self.text, k))
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def take(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def eat_op(self, op: str) -> bool:
-        kind, value, _ = self.peek()
-        if kind == "OP" and value == op:
-            self.pos += 1
-            return True
-        return False
-
-    def apply(self, op: str, off: int, a, b):
-        """a op b for op in '+-*/', or a^b for op '^' and an int b; an MPoly
-        meets the field only at '/' or a negative power.  After the first
-        failure, held in self.failure, every operation returns None."""
+    def apply(self, op: str, k: int, a, b):
+        """a op b for op in '+-*/', or a^b for op '^' and an int b, where
+        token k is the operator; an MPoly meets the field only at '/' or a
+        negative power.  After the first failure, held in self.failure,
+        every operation returns None."""
         if self.failure is not None:
             return None
         try:
@@ -149,13 +140,15 @@ class _Parser:
                 return a * b
             if op == "/":
                 if not b:
-                    raise EvalError("division by a zero expression", off)
+                    raise EvalError("division by a zero expression",
+                                    _offset(self.text, k))
                 if type(a) is MPoly and type(b) is MPoly:
                     return RatFunc(a, b)
                 return a / b
             if b < 0:
                 if not a:
-                    raise EvalError("zero raised to a negative power", off)
+                    raise EvalError("zero raised to a negative power",
+                                    _offset(self.text, k))
                 if type(a) is MPoly:
                     a = RatFunc(a)
             return a ** b
@@ -164,96 +157,110 @@ class _Parser:
             return None
 
     def parse(self):
-        value = self.fold("+-")
-        kind, token, off = self.peek()
-        if kind != "END":
-            raise ParseError(f"unexpected token {token!r}", off)
+        value = self.sum(0)
+        if self.tokens[self.pos]:
+            raise self.error(f"unexpected token {self.tokens[self.pos]!r}",
+                             self.pos)
         if self.failure is not None:
             raise self.failure
         return value
 
-    def fold(self, ops: str):
-        """Left fold of the operands joined by the operators in ops: a sum
-        of products for "+-", a product of unary operands for "*/"."""
-        sums = ops == "+-"
-        value = self.fold("*/") if sums else self.unary()
+    def sum(self, level: int):
+        """Left fold of the products joined by '+' and '-', where level is
+        the nesting of each operand: the parentheses, unary minus signs and
+        exponents around it."""
+        value = self.product(level)
+        tokens = self.tokens
         while True:
-            kind, op, off = self.peek()
-            if kind != "OP" or op not in ops:
+            k = self.pos
+            op = tokens[k]
+            if op != "+" and op != "-":
                 return value
-            self.pos += 1
-            value = self.apply(op, off, value,
-                               self.fold("*/") if sums else self.unary())
+            self.pos = k + 1
+            value = self.apply(op, k, value, self.product(level))
 
-    def unary(self):
-        kind, token, off = self.peek()
-        self.descend(off)
-        if kind == "OP" and token == "-":
-            self.pos += 1
-            value = self.unary()
-            if self.failure is None:
-                value = -value
-        else:
-            value = self.power()
-        self.depth -= 1
-        return value
+    def product(self, level: int):
+        value = self.operand(level)
+        tokens = self.tokens
+        while True:
+            k = self.pos
+            op = tokens[k]
+            if op != "*" and op != "/":
+                return value
+            self.pos = k + 1
+            value = self.apply(op, k, value, self.operand(level))
 
-    def power(self):
-        value = self.atom()
-        kind, token, off = self.peek()
-        if kind == "OP" and token == "^":
+    def operand(self, level: int):
+        """Unary minus signs, each one level deeper, then an atom (an
+        integer, a name or a parenthesised sum) with an optional '^'."""
+        tokens = self.tokens
+        k = start = self.pos
+        while tokens[k] == "-":
+            k += 1
+        if level + k - start > MAX_DEPTH:
+            raise self.error(f"expression nests deeper than {MAX_DEPTH} levels",
+                             start + MAX_DEPTH + 1 - level)
+        level += k - start
+        token = tokens[k]
+        self.pos = k + 1
+        if token == "(":
+            value = self.sum(level + 1)
+            if tokens[self.pos] != ")":
+                raise self.error(f"expected ')', got {tokens[self.pos]!r}",
+                                 self.pos)
             self.pos += 1
-            return self.apply("^", off, value, self.exponent())
-        return value
-
-    def exponent(self) -> int:
-        kind, value, off = self.peek()
-        self.descend(off)
-        if kind == "OP" and value == "-":
-            self.pos += 1
-            e = -self.exponent()
-        elif kind == "OP" and value == "(":
-            self.pos += 1
-            e = self.exponent()
-            if not self.eat_op(")"):
-                k, v, o = self.peek()
-                raise ParseError(f"expected ')' in exponent, got {v!r}", o)
-        elif kind == "INT":
-            self.pos += 1
-            base = int(value)
-            k, v, o = self.peek()
-            if k == "OP" and v == "^":
-                self.pos += 1
-                e = self.exponent()
-                if e < 0:
-                    raise ParseError("negative exponent inside an exponent tower", o)
-                if abs(base) > MAX_EXPONENT or (abs(base) > 1 and e > 63):
-                    raise ParseError("exponent too large", o)
-                base = base ** e
-            if abs(base) > MAX_EXPONENT:
-                raise ParseError("exponent too large", off)
-            e = base
-        else:
-            raise ParseError("exponent must be an integer literal", off)
-        self.depth -= 1
-        return e
-
-    def atom(self):
-        kind, token, off = self.take()
-        if kind == "INT":
-            return self.leaf(int(token))
-        if kind == "NAME":
+        elif token.isdigit():
+            value = self.leaf(int(token))
+        elif token.isidentifier():
             try:
-                return self.leaf(token)
+                value = self.leaf(token)
             except KeyError:
-                raise ParseError(f"unknown variable {token!r}", off) from None
-        if kind == "OP" and token == "(":
-            value = self.fold("+-")
-            if not self.eat_op(")"):
-                k, v, o = self.peek()
-                raise ParseError(f"expected ')', got {v!r}", o)
-            return value
-        raise ParseError(f"unexpected token {token!r}" if token else "unexpected end of input", off)
+                raise self.error(f"unknown variable {token!r}", k) from None
+        else:
+            raise self.error(f"unexpected token {token!r}" if token
+                             else "unexpected end of input", k)
+        if tokens[self.pos] == "^":
+            self.pos += 1
+            value = self.apply("^", self.pos - 1, value,
+                               self.exponent(level + 1))
+        if k != start and self.failure is None:
+            for _ in range(k - start):
+                value = -value
+        return value
+
+    def exponent(self, level: int) -> int:
+        tokens = self.tokens
+        k = self.pos
+        if level > MAX_DEPTH:
+            raise self.error(f"expression nests deeper than {MAX_DEPTH} levels",
+                             k)
+        token = tokens[k]
+        self.pos = k + 1
+        if token == "-":
+            return -self.exponent(level + 1)
+        if token == "(":
+            e = self.exponent(level + 1)
+            if tokens[self.pos] != ")":
+                raise self.error(
+                    f"expected ')' in exponent, got {tokens[self.pos]!r}",
+                    self.pos)
+            self.pos += 1
+            return e
+        if not token.isdigit():
+            raise self.error("exponent must be an integer literal", k)
+        base = int(token)
+        if tokens[self.pos] == "^":
+            o = self.pos
+            self.pos += 1
+            e = self.exponent(level + 1)
+            if e < 0:
+                raise self.error("negative exponent inside an exponent tower", o)
+            if abs(base) > MAX_EXPONENT or (abs(base) > 1 and e > 63):
+                raise self.error("exponent too large", o)
+            base = base ** e
+        if abs(base) > MAX_EXPONENT:
+            raise self.error("exponent too large", k)
+        return base
 
 
 def evaluate(text: str, leaf):

@@ -6,12 +6,16 @@ import hypothesis
 import hypothesis.strategies as st
 import pytest
 
+from prolongkit import exprparse
 from prolongkit.exprparse import (MAX_DEPTH, MAX_DIGITS, MAX_EXPONENT,
                                   EvalError, ExprError, ModuleDoc,
-                                  ModuleDocError, ParseError, _tokenize,
-                                  load_module, parse_expr, render)
+                                  ModuleDocError, ParseError, _offset,
+                                  _scan, load_module, parse_expr,
+                                  render)
 from prolongkit.ratfield import MPoly, RatFunc
 from prolongkit.sampling import random_ratfunc
+from prolongkit.solspace import (SolExpr, UnrepresentableSolutionError,
+                                parse_solution)
 
 X = RatFunc.var_x()
 T = RatFunc.var_t()
@@ -82,8 +86,8 @@ def test_empty_input():
 
 
 def test_non_ascii_rejected_with_offset():
-    # alphabetic unicode tokenizes as a name and is rejected as unknown;
-    # symbols are rejected at the tokenizer, both with a byte offset
+    # non-ASCII letters and symbols alike are rejected at the tokenizer,
+    # with a byte offset
     with pytest.raises(ParseError) as e:
         parse_expr("x*é")
     assert e.value.offset == 2
@@ -290,6 +294,117 @@ def test_long_flat_chains_evaluate():
     assert load_module(doc).A[0][0] == 3000 * X * T
 
 
+# error reports: each pinned to its type, message and byte offset ----------
+
+_DEEP = "expression nests deeper than 100 levels"
+_LONG = "integer literal of more than 4300 digits"
+
+# (text, what parse_expr gives, what parse_solution gives when that differs):
+# a value, or an exception's (type, message, byte offset), the offset None
+# for a ring error that has none
+_PINNED = [
+    # a tokenizer error anywhere wins over a syntax error before it
+    ("x +* \u00e9", (ParseError, "unexpected character '\u00e9'", 5), None),
+    ("x ) + $", (ParseError, "unexpected character '$'", 6), None),
+    ("1 ++ 2 \x0b", (ParseError, "unexpected character '\\x0b'", 7), None),
+    ("x +* " + "9" * 9000, (ParseError, _LONG, 5), None),
+    ("x ) " + "1" * 5000, (ParseError, _LONG, 4), None),
+    ("9" * 5000 + " \u00e9", (ParseError, _LONG, 0), None),
+    ("\u00e9 " + "9" * 5000, (ParseError, "unexpected character '\u00e9'", 0),
+     None),
+    # each unary minus, parenthesis and exponent is one level
+    ("-" * 100 + "x", X, None),
+    ("-" * 101 + "x", (ParseError, _DEEP, 101), None),
+    ("(" * 100 + "x" + ")" * 100, X, None),
+    ("(" * 101 + "x" + ")" * 101, (ParseError, _DEEP, 101), None),
+    ("x^" + "(" * 99 + "2" + ")" * 99, X ** 2, None),
+    ("x^" + "(" * 100 + "2" + ")" * 100, (ParseError, _DEEP, 102), None),
+    ("x^" + "1^" * 99 + "1", X, None),
+    ("x^" + "1^" * 100 + "1", (ParseError, _DEEP, 202), None),
+    ("(-" * 50 + "x" + ")" * 50, X, None),
+    ("(-" * 50 + "-x" + ")" * 50, (ParseError, _DEEP, 101), None),
+    ("-" * 60 + "x^" + "-" * 39 + "2", X ** -2, None),
+    ("-" * 60 + "x^" + "-" * 40 + "2", (ParseError, _DEEP, 102), None),
+    # exponents
+    ("x^2^-1", (ParseError, "negative exponent inside an exponent tower", 3),
+     None),
+    ("x^(3^-2)", (ParseError, "negative exponent inside an exponent tower", 4),
+     None),
+    ("2^9^9^9", (ParseError, "exponent too large", 4), None),
+    ("x^1000001", (ParseError, "exponent too large", 2), None),
+    ("x^t", (ParseError, "exponent must be an integer literal", 2), None),
+    ("x^(-(2)", (ParseError, "expected ')' in exponent, got ''", 7), None),
+    # a syntax error anywhere wins over an evaluation error
+    ("1/0 )", (ParseError, "unexpected token ')'", 4), None),
+    ("(x - x)^-1", (EvalError, "zero raised to a negative power", 7), None),
+    ("2x", (ParseError, "unexpected token 'x'", 1), None),
+    ("x + y", (ParseError, "unknown variable 'y'", 4), None),
+    ("(x + t", (ParseError, "expected ')', got ''", 6), None),
+    ("", (ParseError, "unexpected end of input", 0), None),
+    ("   ", (ParseError, "unexpected end of input", 3), None),
+    ("x + t \n\t ", X + T, None),
+    # the solution atoms, and the first evaluation failure from the left
+    ("x/(t - t) + lam", (ParseError, "unknown variable 'lam'", 12),
+     (EvalError, "division by a zero expression", 1)),
+    ("x/0 + 1/theta", (ParseError, "unknown variable 'theta'", 8),
+     (EvalError, "division by a zero expression", 1)),
+    ("1/theta + x/0", (ParseError, "unknown variable 'theta'", 2),
+     (UnrepresentableSolutionError, "division by a theta/lam expression is "
+      "outside the term algebra", None)),
+]
+
+
+def _outcome(parse, text):
+    try:
+        return parse(text)
+    except ValueError as e:
+        return type(e), getattr(e, "message", str(e)), getattr(e, "offset", None)
+
+
+@pytest.mark.parametrize("text, expr, sol", _PINNED,
+                         ids=[repr(c[0][:12]) for c in _PINNED])
+def test_error_reports_are_pinned(text, expr, sol):
+    assert _outcome(parse_expr, text) == expr
+    if sol is None:
+        sol = SolExpr.from_ratfunc(expr) if isinstance(expr, RatFunc) else expr
+    assert _outcome(parse_solution, text) == sol
+
+
+def test_error_reports_under_a_lower_digit_limit_are_pinned(int_digits_1000):
+    for text, offset in (("x^" + "1" * 1001, 2),
+                         ("x^(2^" + "3" * 1001 + ")", 5)):
+        for parse in (parse_expr, parse_solution):
+            assert _outcome(parse, text) == (
+                ParseError, "integer literal of more than 1000 digits", offset)
+
+
+def test_only_an_error_computes_an_offset(monkeypatch):
+    calls = []
+
+    def counting(text, k):
+        calls.append((text, k))
+        return _offset(text, k)
+
+    monkeypatch.setattr(exprparse, "_offset", counting)
+    rng = random.Random(3)
+    for _ in range(200):
+        f = random_ratfunc(rng)
+        assert parse_expr(render(f)) == f
+    # the entries of README's module documents and prolonged matrix
+    for text in ("t/x", "1", "0", "-t/x", "1/x", "2/x"):
+        parse_expr(text)
+        parse_solution(text)
+    parse_solution("theta^2*(lam - 1/x)")
+    assert calls == []
+    with pytest.raises(ParseError):
+        parse_expr("x +* 2")
+    assert len(calls) >= 1
+    calls.clear()
+    with pytest.raises(EvalError):
+        parse_expr("1/(x - x)")
+    assert len(calls) >= 1
+
+
 # the tokenizer against the character loop it replaced ---------------------
 
 def reference_tokenize(text: str):
@@ -360,10 +475,20 @@ def test_tokenizer_matches_reference(text):
         want = reference_tokenize(text)
     except ParseError as e:
         with pytest.raises(ParseError) as got:
-            _tokenize(text)
+            _scan(text)
         assert (got.value.message, got.value.offset) == (e.message, e.offset)
         return
-    assert _tokenize(text) == want
+    # the kind of each token is the parser's reading of its text
+    assert [(_kind(token), token, _offset(text, k))
+            for k, token in enumerate(_scan(text))] == want
+
+
+def _kind(token: str) -> str:
+    if token.isdigit():
+        return "INT"
+    if token.isidentifier():
+        return "NAME"
+    return "OP" if token else "END"
 
 
 # module documents ---------------------------------------------------------
